@@ -5,6 +5,10 @@ class BttwistError(Exception):
     pass
 
 
+class InternalInvariant(BttwistError):
+    """A check that guards a result failed (raised instead of an assert)."""
+
+
 # field construction / arithmetic
 class SplitPrime(BttwistError):
     pass

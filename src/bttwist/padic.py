@@ -2,8 +2,9 @@
 
 A field is Q(sqrt(d_1), ..., sqrt(d_k)) viewed inside Q_p, constrained so
 that p has a unique prime above it in the global model.  All arithmetic is
-then exact (rational coordinates in the square-root monomial basis) and the
-p-adic valuation, normalized by nu(p) = 1, comes from the absolute norm.
+then exact (integer coordinates in the square-root monomial basis over one
+common denominator) and the p-adic valuation, normalized by nu(p) = 1,
+comes from the absolute norm, taken down the quadratic tower.
 Residue representatives, uniformizers, quadratic defects and the subfield
 lattice live here; everything downstream consumes them.
 """
@@ -13,8 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
-from .errors import DivisionByZero, NotSquareFree, SplitPrime, ZeroInput
+from .errors import (DivisionByZero, InternalInvariant, NotSquareFree,
+                     SplitPrime, ZeroInput)
 
 
 class _Infinity:
@@ -120,6 +123,8 @@ def quad_ext_type(d: int, p: int) -> str:
 def vp_int(n: int, p: int) -> int:
     if n == 0:
         raise ZeroInput
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p
@@ -131,6 +136,12 @@ def vp_frac(x: Fraction, p: int):
     if x == 0:
         return INFINITY
     return Fraction(vp_int(x.numerator, p) - vp_int(x.denominator, p))
+
+
+def parity(x: int) -> int:
+    """1 if x has an odd number of set bits, else 0: whether the Galois mask
+    x flips the sign of a monomial (or the monomial mask x is flipped)."""
+    return bin(x).count("1") & 1
 
 
 def _is_prime(n: int) -> bool:
@@ -158,8 +169,11 @@ def make_field(p: int, sqrt_args) -> "LocalField":
 class LocalField:
     """Multiquadratic model with a unique prime above p.
 
-    Elements are vectors of 2^k rationals in the monomial basis
-    {prod sqrt(d_i)^eps_i}, indexed by bitmask over the generators.
+    Elements are vectors of 2^k integers over one common denominator in the
+    monomial basis {prod sqrt(d_i)^eps_i}, indexed by bitmask over the
+    generators.  Generator i < j lives below generator j in the quadratic
+    tower, so the first 2^j masks are the monomials of the subfield on the
+    first j generators and every kernel below works on such a prefix.
     """
 
     def __init__(self, p: int, sqrt_args: tuple):
@@ -195,7 +209,7 @@ class LocalField:
         ) else 1
         self.e = self.degree // self.f
         self.q = p ** self.f
-        # monomial multiplication: m_S * m_T = coef * m_{S xor T}
+        # monomial multiplication: m_S * m_T = _mult[S][T] * m_{S xor T}
         self._mult = []
         for s in range(self.degree):
             row = []
@@ -204,11 +218,18 @@ class LocalField:
                 for i in range(self.k):
                     if (s & t) >> i & 1:
                         coef *= self.sqrt_args[i]
-                row.append((Fraction(coef), s ^ t))
-            self._mult.append(row)
-        self.zero = FieldElement(self, tuple([Fraction(0)] * self.degree))
-        self.one = self.from_rational(1)
+                row.append(coef)
+            self._mult.append(tuple(row))
+        # _flips[mask][s]: does the Galois mask negate monomial s?
+        self._flips = tuple(
+            tuple(bool(parity(s & mask)) for s in range(self.degree))
+            for mask in range(self.degree)
+        )
+        self._zero_tail = (0,) * (self.degree - 1)
+        self.zero = _element(self, (0,) * self.degree, 1)
+        self.one = _element(self, (1,) + self._zero_tail, 1)
         self._pi_powers: dict = {}
+        self._vals: dict = {}  # m -> Fraction(m, degree), shared valuations
         self._residue_reps = None
         self._uniformizer = None
         self._subfields = None
@@ -222,70 +243,99 @@ class LocalField:
     # -- element constructors -------------------------------------------------
 
     def el(self, coords) -> "FieldElement":
-        return FieldElement(self, tuple(Fraction(c) for c in coords))
+        return FieldElement(self, coords)
 
     def from_rational(self, x) -> "FieldElement":
-        coords = [Fraction(0)] * self.degree
-        coords[0] = Fraction(x)
-        return FieldElement(self, tuple(coords))
+        if isinstance(x, int):
+            return _element(self, (x,) + self._zero_tail, 1)
+        x = Fraction(x)
+        return _element(self, (x.numerator,) + self._zero_tail, x.denominator)
 
     def monomial(self, mask: int, coef=1) -> "FieldElement":
-        coords = [Fraction(0)] * self.degree
-        coords[mask] = Fraction(coef)
-        return FieldElement(self, tuple(coords))
+        coef = Fraction(coef)
+        num = [0] * self.degree
+        num[mask] = coef.numerator
+        return _element(self, tuple(num), coef.denominator)
 
     def sqrt_gen(self, i: int) -> "FieldElement":
         return self.monomial(1 << i)
 
     def sqrt_of(self, n) -> "FieldElement":
-        """sqrt of a rational, if the model contains it."""
+        """sqrt of a rational, if the model contains it: c * m for the
+        monomial m whose square class is n's, so that n / m^2 is a rational
+        square (no factoring, so a large n costs no more than a small one)."""
         n = Fraction(n)
-        dn, tn = squarefree_part(n.numerator)
-        dd, td = squarefree_part(n.denominator)
-        sf, extra = squarefree_part(dn * dd)
-        scale = Fraction(tn * extra, td * dd)
-        if sf == 1:
-            return self.from_rational(scale)
-        for mask in range(1, self.degree):
+        if n == 0:
+            raise ZeroInput("0 has no squarefree part")
+        for mask in range(self.degree):
             md, mt = self.span_class[mask]
-            if md == sf:
-                return self.monomial(mask, scale / mt)
+            r = n / md
+            num, den = _int_sqrt(r.numerator), _int_sqrt(r.denominator)
+            if num is not None and den is not None:
+                return self.monomial(mask, Fraction(num, den * mt))
         raise ValueError(f"sqrt({n}) not in {self}")
 
     # -- arithmetic kernels -----------------------------------------------
 
     def _mul(self, a, b):
-        deg = self.degree
-        out = [Fraction(0)] * deg
+        """Product of two integer vectors of one length n, elements of the
+        subfield whose monomials are the first n masks (n = self.degree for
+        the whole field): one table serves every stage of the tower."""
+        out = [0] * len(a)
         mult = self._mult
-        for s in range(deg):
-            ca = a[s]
+        nz = [(t, cb) for t, cb in enumerate(b) if cb]
+        for s, ca in enumerate(a):
             if not ca:
                 continue
             row = mult[s]
-            for t in range(deg):
-                cb = b[t]
-                if not cb:
-                    continue
-                coef, m = row[t]
-                out[m] += ca * cb * coef
-        return tuple(out)
+            for t, cb in nz:
+                out[s ^ t] += ca * cb * row[t]
+        return out
+
+    def _tower_norm(self, num, climb: bool):
+        """Integer norm N of the integer vector num, taken down the tower.
+
+        At each stage x * sigma(x), sigma flipping the top generator, lies
+        in the half-degree subfield.  With climb=True also returns the
+        integer vector y with num * y = N, assembled back up the tower from
+        the conjugates; otherwise y is None."""
+        n = self.degree
+        x = num
+        conjugates = []
+        while n > 1:
+            h = n >> 1
+            sx = x[:h] + tuple([-c for c in x[h:]])
+            prod = self._mul(x, sx)
+            if any(prod[h:]):
+                raise InternalInvariant(
+                    f"tower norm left the subfield of {self}")
+            if climb:
+                conjugates.append(sx)
+            x = tuple(prod[:h])
+            n = h
+        if not climb:
+            return x[0], None
+        y = (1,)
+        for sx in reversed(conjugates):
+            y = tuple(self._mul(sx, y + (0,) * (len(sx) - len(y))))
+        return x[0], y
+
+    def _val_of_norm(self, norm: int, den: int) -> Fraction:
+        """nu(num / den) from the integer norm of num."""
+        p = self.p
+        m = vp_int(norm, p) - self.degree * vp_int(den, p)
+        val = self._vals.get(m)
+        if val is None:
+            val = self._vals[m] = Fraction(m, self.degree)
+        return val
 
     def valuation(self, x: "FieldElement"):
         if x._val is None:
-            if x.is_zero():
+            if not any(x.num):
                 x._val = INFINITY
             else:
-                # norm down the quadratic tower: each stage halves the degree
-                fld, coords = self, x.coords
-                while fld.k > 0:
-                    y = FieldElement(fld, coords)
-                    prod = y * y.conj(1 << (fld.k - 1))
-                    half = 1 << (fld.k - 1)
-                    assert all(c == 0 for c in prod.coords[half:]),                         "tower norm left the subfield"
-                    fld = make_field(fld.p, fld.sqrt_args[:-1])
-                    coords = prod.coords[:half]
-                x._val = Fraction(vp_frac(coords[0], self.p), self.degree)
+                norm, _ = self._tower_norm(x.num, False)
+                x._val = self._val_of_norm(norm, x.den)
         return x._val
 
     # -- residue representatives and uniformizer -------------------------------
@@ -327,7 +377,8 @@ class LocalField:
                     reps.append(x)
                 if len(reps) == self.q:
                     break
-            assert len(reps) == self.q, f"residue search failed for {self}"
+            if len(reps) != self.q:
+                raise InternalInvariant(f"residue search failed for {self}")
             self._residue_reps = tuple(reps)
         return self._residue_reps
 
@@ -360,7 +411,7 @@ class LocalField:
         for x in self._candidate_elements(max_terms=3):
             if x.valuation() == target:
                 return x
-        raise AssertionError(f"no uniformizer found for {self}")
+        raise InternalInvariant(f"no uniformizer found for {self}")
 
     def pi_pow(self, n: int) -> "FieldElement":
         if n not in self._pi_powers:
@@ -375,7 +426,8 @@ class LocalField:
     def scale_of_valuation(self, r) -> "FieldElement":
         """An element of exact valuation r (r must lie in (1/e)Z)."""
         n = Fraction(r) * self.e
-        assert n.denominator == 1, f"{r} not in value group of {self}"
+        if n.denominator != 1:
+            raise InternalInvariant(f"{r} not in value group of {self}")
         return self.pi_pow(int(n))
 
     # -- quadratic defect -------------------------------------------------------
@@ -477,51 +529,86 @@ class LocalField:
 
 
 class FieldElement:
-    __slots__ = ("field", "coords", "_val")
+    """x = (num[0], ..., num[2^k - 1]) / den in the monomial basis, kept in
+    lowest terms: den > 0 and gcd(den, *num) == 1, so equal elements have
+    equal (num, den).  `coords` is the same vector as Fractions, built on
+    first use."""
 
-    def __init__(self, field: LocalField, coords: tuple):
+    __slots__ = ("field", "num", "den", "_coords", "_val")
+
+    def __init__(self, field: LocalField, coords):
+        coords = tuple(Fraction(c) for c in coords)
+        # each Fraction is in lowest terms, so over the lcm of their
+        # denominators the vector is too
+        den = lcm(*(c.denominator for c in coords))
         self.field = field
-        self.coords = coords
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+        self._coords = coords
         self._val = None
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            den = self.den
+            self._coords = tuple(Fraction(n, den) for n in self.num)
+        return self._coords
 
     # -- ring ops -----------------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        da, db = self.den, other.den
+        if da == db:
+            num = tuple([a + b for a, b in zip(self.num, other.num)])
+        else:
+            num = tuple([a * db + b * da for a, b in zip(self.num, other.num)])
+            da *= db
+        return _reduced(self.field, num, da)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return FieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        da, db = self.den, other.den
+        if da == db:
+            num = tuple([a - b for a, b in zip(self.num, other.num)])
+        else:
+            num = tuple([a * db - b * da for a, b in zip(self.num, other.num)])
+            da *= db
+        return _reduced(self.field, num, da)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return _element(self.field, tuple([-a for a in self.num]), self.den,
+                        self._val)
 
     def __mul__(self, other):
+        f = self.field
+        if isinstance(other, FieldElement):
+            if other.field is not f:
+                raise InternalInvariant(f"mixed fields: {f} and {other.field}")
+            return _reduced(f, tuple(f._mul(self.num, other.num)),
+                            self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return FieldElement(self.field, tuple(a * c for a in self.coords))
-        assert other.field is self.field, "mixed fields"
-        return FieldElement(self.field, self.field._mul(self.coords, other.coords))
+            return _reduced(f, tuple([a * other.numerator for a in self.num]),
+                            self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                raise DivisionByZero
-            return FieldElement(self.field, tuple(a / c for a in self.coords))
-        return self * other.inv()
+        if isinstance(other, FieldElement):
+            return self * other.inv()
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise DivisionByZero
+        return _reduced(self.field,
+                        tuple([a * other.denominator for a in self.num]),
+                        self.den * other.numerator)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -539,51 +626,66 @@ class FieldElement:
         return out
 
     def _coerce(self, other):
+        if isinstance(other, FieldElement):
+            if other.field is not self.field:
+                raise InternalInvariant(
+                    f"mixed fields: {self.field} and {other.field}")
+            return other
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
-        assert other.field is self.field, "mixed fields"
-        return other
+        raise TypeError(f"cannot combine a field element with {other!r}")
 
     def inv(self) -> "FieldElement":
-        if self.is_zero():
+        """x^-1 = sigma(x) * (x sigma(x))^-1 down the tower: with X the
+        integer vector of x, X * Y = N for the integer norm N, so
+        x^-1 = den * Y / N.  The valuation comes free from N."""
+        if not any(self.num):
             raise DivisionByZero
-        acc = self.field.one
-        for mask in range(1, self.field.degree):
-            acc = acc * self.conj(mask)
-        norm = (self * acc).coords[0]
-        return acc / norm
+        f = self.field
+        norm, y = f._tower_norm(self.num, True)
+        if self._val is None:
+            self._val = f._val_of_norm(norm, self.den)
+        den = self.den
+        out = _reduced(f, tuple([den * c for c in y]), norm)
+        out._val = -self._val
+        return out
 
     def conj(self, mask: int) -> "FieldElement":
-        """Galois conjugation: flip the sign of sqrt(d_i) for i in mask."""
-        out = []
-        for s, c in enumerate(self.coords):
-            out.append(-c if bin(s & mask).count("1") % 2 else c)
-        return FieldElement(self.field, tuple(out))
+        """Galois conjugation: flip the sign of sqrt(d_i) for i in mask.
+        The prime above p is unique, so the valuation is unchanged."""
+        flips = self.field._flips[mask]
+        return _element(
+            self.field,
+            tuple([-a if fl else a for a, fl in zip(self.num, flips)]),
+            self.den, self._val)
 
     # -- queries ----------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
-        assert self.is_rational()
-        return self.coords[0]
+        if not self.is_rational():
+            raise InternalInvariant(f"{self!r} is not rational")
+        return Fraction(self.num[0], self.den)
 
     def valuation(self):
         return self.field.valuation(self)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, FieldElement):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.field.from_rational(other)
-        if not isinstance(other, FieldElement) or other.field is not self.field:
+        elif other.field is not self.field:
             return NotImplemented
-        return self.coords == other.coords
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((id(self.field), self.coords))
+        return hash((id(self.field), self.num, self.den))
 
     def key(self) -> str:
         return ",".join(str(c) for c in self.coords)
@@ -602,6 +704,34 @@ class FieldElement:
         return " + ".join(parts) if parts else "0"
 
 
+_new_element = object.__new__
+
+
+def _element(field: LocalField, num: tuple, den: int,
+             val=None) -> FieldElement:
+    """An element from a numerator vector and denominator already in lowest
+    terms with den > 0."""
+    x = _new_element(FieldElement)
+    x.field = field
+    x.num = num
+    x.den = den
+    x._coords = None
+    x._val = val
+    return x
+
+
+def _reduced(field: LocalField, num: tuple, den: int) -> FieldElement:
+    """num / den brought to lowest terms; den must be nonzero."""
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple([a // g for a in num])
+            den //= g
+    return _element(field, num, den)
+
+
 def element_sqrt(x: FieldElement):
     """A model square root of x, or None if no global one exists.
 
@@ -614,24 +744,22 @@ def element_sqrt(x: FieldElement):
     if x.is_zero():
         return f.zero
     if f.k == 0:
-        r = x.coords[0]
-        if r < 0:
+        n = x.num[0]
+        if n < 0:
             return None
-        num, den = _int_sqrt(r.numerator), _int_sqrt(r.denominator)
+        num, den = _int_sqrt(n), _int_sqrt(x.den)
         if num is None or den is None:
             return None
-        return f.from_rational(Fraction(num, den))
+        return _element(f, (num,), den)
     sub = make_field(f.p, f.sqrt_args[:-1])
     half = 1 << (f.k - 1)
-    a = FieldElement(sub, x.coords[:half])
-    b = FieldElement(sub, x.coords[half:])
+    a = _reduced(sub, x.num[:half], x.den)
+    b = _reduced(sub, x.num[half:], x.den)
     d = f.sqrt_args[-1]
 
     def lift(y: FieldElement, times_root=False):
-        coords = [Fraction(0)] * f.degree
-        for m, c in enumerate(y.coords):
-            coords[m + (half if times_root else 0)] = c
-        return FieldElement(f, tuple(coords))
+        pad = (0,) * half
+        return _element(f, pad + y.num if times_root else y.num + pad, y.den)
 
     if b.is_zero():
         u = element_sqrt(a)
@@ -659,11 +787,8 @@ def element_sqrt(x: FieldElement):
 def _int_sqrt(n: int):
     if n < 0:
         return None
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 @dataclass(frozen=True)
@@ -677,28 +802,25 @@ class Subfield:
     monomial_images: tuple
 
     def embed(self, x: FieldElement) -> FieldElement:
-        assert x.field is self.field
-        coords = [Fraction(0)] * self.parent.degree
-        for sub_mask, c in enumerate(x.coords):
-            if c == 0:
-                continue
-            pm, coef = self.monomial_images[sub_mask]
-            coords[pm] += c * coef
-        return FieldElement(self.parent, tuple(coords))
+        if x.field is not self.field:
+            raise InternalInvariant(f"embed: {x.field} is not {self.field}")
+        scale = lcm(*(coef.denominator for _, coef in self.monomial_images))
+        num = [0] * self.parent.degree
+        for (pm, coef), a in zip(self.monomial_images, x.num):
+            num[pm] += a * coef.numerator * (scale // coef.denominator)
+        return _reduced(self.parent, tuple(num), x.den * scale)
 
     def project(self, y: FieldElement):
         """Inverse of embed where defined; None if y is not in the subfield."""
-        assert y.field is self.parent
-        coords = [Fraction(0)] * self.field.degree
-        used = set()
-        for sub_mask in range(self.field.degree):
-            pm, coef = self.monomial_images[sub_mask]
-            coords[sub_mask] = y.coords[pm] / coef
-            used.add(pm)
-        for pm in range(self.parent.degree):
-            if pm not in used and y.coords[pm] != 0:
-                return None
-        return FieldElement(self.field, tuple(coords))
+        if y.field is not self.parent:
+            raise InternalInvariant(f"project: {y.field} is not {self.parent}")
+        used = {pm for pm, _ in self.monomial_images}
+        if any(a for pm, a in enumerate(y.num) if pm not in used):
+            return None
+        scale = lcm(*(coef.numerator for _, coef in self.monomial_images))
+        num = tuple([y.num[pm] * coef.denominator * (scale // coef.numerator)
+                     for pm, coef in self.monomial_images])
+        return _reduced(self.field, num, y.den * scale)
 
     def contains(self, y: FieldElement) -> bool:
         return self.project(y) is not None
@@ -708,7 +830,7 @@ class Subfield:
         parent_masks = [self.monomial_images[m][0] for m in range(self.field.degree)]
         out = []
         for sigma in range(self.parent.degree):
-            if all(bin(sigma & pm).count("1") % 2 == 0 for pm in parent_masks):
+            if not any(parity(sigma & pm) for pm in parent_masks):
                 out.append(sigma)
         return tuple(out)
 
@@ -734,6 +856,8 @@ def _build_subfield(parent: LocalField, span: frozenset) -> Subfield:
                 _, t = parent.span_class[m]
                 elt = elt * parent.monomial(m, Fraction(1, t))
         nz = [(pm, c) for pm, c in enumerate(elt.coords) if c != 0]
-        assert len(nz) == 1
+        if len(nz) != 1:
+            raise InternalInvariant(
+                f"subfield monomial {sub_mask} of {sub} is not a monomial")
         images.append(nz[0])
     return Subfield(parent, sub, span, tuple(images))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CocycleLawViolated
-from .padic import FieldElement, LocalField, Subfield
+from .padic import FieldElement, LocalField, Subfield, parity
 from .bttree import BoundaryPoint, MoebiusMap, Vertex
 from .quatalg import Matrix2
 
@@ -34,7 +34,7 @@ class GaloisGroup:
         """Does sigma change the sign of sqrt(d)?"""
         for m in range(1, self.field.degree):
             if self.field.span_class[m][0] == d:
-                return bin(sigma & m).count("1") % 2 == 1
+                return parity(sigma & m) == 1
         raise ValueError(f"sqrt({d}) not in {self.field}")
 
 

@@ -11,7 +11,7 @@ from bttwist.bttree import (BoundaryPoint, Horoball, Tube, Vertex, Window,
 from bttwist.branch import (Matrix2, branch_closed_form, branch_member,
                             branch_of_family, branch_with_extension, classify,
                             lift_element, mat, sample_integral_matrix, trace,
-                            unit_fixed_points)
+                            try_sqrt, unit_fixed_points)
 
 Q2 = make_field(2, ())
 OMEGA = make_field(2, (-1, -3, 2))
@@ -24,6 +24,17 @@ def lift_vertex(v, big):
 
 
 class TestClassify:
+    def test_large_square_discriminant_needs_no_extension(self):
+        # regression: a float square root called this square a non-square
+        f = make_field(2, (-1,))
+        n = 3 ** 40 + 7
+        y = f.from_rational(n) + f.sqrt_gen(0) * (n + 2)
+        c = classify(Matrix2(y, f.zero, f.zero, f.zero), f)
+        assert c.kind == "etale_split"
+        assert sorted(lam.key() for lam in c.eigenvalues) == sorted(
+            [y.key(), f.zero.key()])
+        assert try_sqrt(f, f.from_rational(n * n)) == n
+
     def test_split_diagonal(self):
         f = make_field(2, (-3,))
         u = f.one

@@ -3,15 +3,14 @@ import os
 import subprocess
 import sys
 
-CLI = [sys.executable, "-m", "bttwist.cli"]
+import pytest
 
-
-def run_cli(*args, env_extra=None, check=True):
+def run_cli(*args, env_extra=None, check=True, python_flags=()):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
-    proc = subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=env)
+    cmd = [sys.executable, *python_flags, "-m", "bttwist.cli", *args]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
@@ -112,3 +111,14 @@ def test_computation_error_is_machine_readable():
     assert proc.returncode == 1
     err = json.loads(proc.stderr)
     assert err["error"] == "SplitPrime"
+
+
+@pytest.mark.parametrize("args", [
+    ("count-local", "--group", "q8", "--field", "2:-1,-3,2"),
+    ("table1",),
+])
+def test_stdout_unchanged_with_asserts_stripped(args):
+    # python -O strips asserts: no result may rest on one
+    plain = run_cli(*args)
+    optimized = run_cli(*args, python_flags=("-O",))
+    assert optimized.stdout == plain.stdout

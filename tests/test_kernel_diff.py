@@ -1,0 +1,147 @@
+"""The integer-vector field kernel against the Fraction oracle.
+
+Every operation must give exactly the oracle's result: the same coordinate
+Fractions, valuations, defects, square roots and keys.  Fields cover
+degrees 1, 2, 4 and 8 at p = 2 and degrees 1, 2 and 4 at p = 3 (Q_3 has
+four square classes, so no multiquadratic model of degree 8 keeps a unique
+prime above 3).  Coordinates mix small and > 2^64 numerators with a
+denominator per coordinate, so the common denominator is a true lcm.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+import fraction_kernel as oracle
+from bttwist.padic import FieldElement, element_sqrt, make_field
+
+FIELDS = [(2, ()), (2, (-3,)), (2, (-3, 2)), (2, (-1, -3, 2)),
+          (3, ()), (3, (2,)), (3, (-1, 3))]
+
+BIG = 2 ** 64
+numerators = st.one_of(st.integers(-9, 9), st.integers(-9, 9),
+                       st.integers(BIG, 2 ** 80), st.integers(-2 ** 80, -BIG))
+denominators = st.one_of(st.sampled_from([1, 1, 1, 2, 3, 4, 6, 9, 12]),
+                         st.integers(BIG, 2 ** 70))
+coords = st.builds(Fraction, numerators, denominators)
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def field_elements(draw, count):
+    """(new field, oracle field, [coordinate lists]) on one random field."""
+    p, args = draw(st.sampled_from(FIELDS))
+    new, old = make_field(p, args), oracle.make_field(p, args)
+    n = new.degree
+    sparse = st.one_of(coords, st.just(Fraction(0)))
+    vecs = [draw(st.lists(sparse, min_size=n, max_size=n))
+            for _ in range(count)]
+    return new, old, vecs
+
+
+def same(x, y):
+    """x from the new kernel equals y from the oracle, exactly."""
+    if x is None or y is None:
+        return x is None and y is None
+    assert x.den > 0 and gcd(x.den, *x.num) == 1, "not in lowest terms"
+    return x.coords == y.coords and x.key() == y.key()
+
+
+@SETTINGS
+@given(field_elements(2), coords)
+def test_ring_ops_agree(data, c):
+    new, old, (u, v) = data
+    x, y = new.el(u), new.el(v)
+    ox, oy = old.el(u), old.el(v)
+    assert same(x + y, ox + oy)
+    assert same(x - y, ox - oy)
+    assert same(x * y, ox * oy)
+    assert same(-x, -ox)
+    assert same(x * c, ox * c)
+    assert same(c * x, c * ox)
+    assert same(x + c, ox + c)
+    assert same(3 - x, 3 - ox)
+    if c:
+        assert same(x / c, ox / c)
+    if not oy.is_zero():
+        assert same(x / y, ox / oy)
+
+
+@SETTINGS
+@given(field_elements(1))
+def test_inverse_and_valuation_agree(data):
+    new, old, (u,) = data
+    x, ox = new.el(u), old.el(u)
+    assert x.valuation() == ox.valuation()
+    if ox.is_zero():
+        return
+    # a fresh element: inv computes the valuation as a by-product
+    y, oy = new.el(u), old.el(u)
+    inv, oinv = y.inv(), oy.inv()
+    assert same(inv, oinv)
+    assert y.valuation() == ox.valuation()
+    assert inv.valuation() == oinv.valuation()
+    assert new.el(inv.coords).valuation() == oinv.valuation()
+
+
+@SETTINGS
+@given(field_elements(1))
+def test_conjugates_agree(data):
+    new, old, (u,) = data
+    x, ox = new.el(u), old.el(u)
+    for mask in range(new.degree):
+        assert same(x.conj(mask), ox.conj(mask))
+        assert x.conj(mask).valuation() == ox.conj(mask).valuation()
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_elements(1))
+def test_quadratic_defect_agrees(data):
+    new, old, (u,) = data
+    x, ox = new.el(u), old.el(u)
+    if ox.is_zero():
+        return
+    assert new.quadratic_defect(x) == old.quadratic_defect(ox)
+    sq, osq = x * x, ox * ox
+    assert new.quadratic_defect(sq) == old.quadratic_defect(osq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_elements(1))
+def test_element_sqrt_agrees(data):
+    new, old, (u,) = data
+    x, ox = new.el(u), old.el(u)
+    assert same(element_sqrt(x), oracle.element_sqrt(ox))
+    root = element_sqrt(x * x)
+    assert same(root, oracle.element_sqrt(ox * ox))
+    assert root is not None and root * root == x * x
+
+
+@SETTINGS
+@given(field_elements(2), coords)
+def test_equality_hash_and_key_agree(data, c):
+    new, old, (u, v) = data
+    x, y = new.el(u), new.el(v)
+    ox, oy = old.el(u), old.el(v)
+    assert (x == y) == (ox == oy)
+    assert (x == c) == (ox == c)
+    assert x.key() == ox.key()
+    w = new.el(ox.coords)
+    assert w == x and hash(w) == hash(x)
+    # the same value reached by arithmetic is the same key
+    z = (x + y) - y
+    assert z == x and hash(z) == hash(x) and z.key() == x.key()
+
+
+@SETTINGS
+@given(field_elements(1))
+def test_coords_round_trip(data):
+    new, _, (u,) = data
+    x = FieldElement(new, u)
+    assert x.coords == tuple(u)
+    y = FieldElement(new, x.coords)
+    assert y == x and (y.num, y.den) == (x.num, x.den)
+    # the lazily built view of an arithmetic result matches too
+    z = x + new.zero
+    assert z._coords is None and z.coords == tuple(u)

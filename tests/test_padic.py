@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bttwist.errors import NotSquareFree, SplitPrime, ZeroInput
-from bttwist.padic import (INFINITY, element_sqrt, make_field, quad_ext_type,
-                           squarefree_part)
+from bttwist.errors import (InternalInvariant, NotSquareFree, SplitPrime,
+                            ZeroInput)
+from bttwist.padic import (INFINITY, _int_sqrt, element_sqrt, make_field,
+                           parity, quad_ext_type, squarefree_part)
 
 Q2 = make_field(2, ())
 OMEGA = make_field(2, (-1, -3, 2))
@@ -270,3 +271,71 @@ def test_quad_ext_type():
     assert quad_ext_type(2, 3) == "unramified"
     assert quad_ext_type(-2, 3) == "split"
     assert quad_ext_type(3, 3) == "ramified"
+
+
+def test_int_sqrt_is_exact_above_float_precision():
+    # regression: the float square root missed this perfect square
+    n = 3 ** 40 + 7
+    assert _int_sqrt(n * n) == n
+    assert _int_sqrt(n * n + 1) is None and _int_sqrt(n * n - 1) is None
+    assert _int_sqrt(0) == 0 and _int_sqrt(1) == 1
+    assert _int_sqrt(-4) is None
+
+
+def test_element_sqrt_of_large_square():
+    n = 3 ** 40 + 7
+    f = make_field(2, (-1,))
+    y = f.from_rational(n) + f.sqrt_gen(0) * (n + 2)
+    root = element_sqrt(y * y)
+    assert root is not None and root * root == y * y
+    assert element_sqrt(Q2.from_rational(Fraction(n * n, 4))) == Fraction(n, 2)
+    # the rational path: trial division cannot finish factoring n^2, whose
+    # largest prime factor is 495384762097
+    assert f.sqrt_of(n * n) == n
+    assert f.sqrt_of(-n * n) == f.sqrt_gen(0) * n
+    with pytest.raises(ValueError):
+        f.sqrt_of(2 * n * n)
+    with pytest.raises(ZeroInput):
+        f.sqrt_of(0)
+
+
+def test_parity():
+    assert [parity(x) for x in range(8)] == [0, 1, 1, 0, 1, 0, 0, 1]
+    assert parity(2 ** 70 + 1) == 0 and parity(2 ** 70) == 1
+
+
+def test_mixed_fields_raise_internal_invariant():
+    f = make_field(2, (-1,))
+    g = make_field(2, (2,))
+    x, y = f.sqrt_gen(0), g.sqrt_gen(0)
+    for op in (lambda: x * y, lambda: x + y, lambda: x - y, lambda: x / y):
+        with pytest.raises(InternalInvariant):
+            op()
+    sub = OMEGA.find_subfield((6,))
+    with pytest.raises(InternalInvariant):
+        sub.embed(OMEGA.one)
+    with pytest.raises(InternalInvariant):
+        sub.project(sub.field.one)
+
+
+def test_scale_of_valuation_outside_value_group():
+    f = make_field(2, (-1,))
+    assert f.scale_of_valuation(Fraction(3, 2)).valuation() == Fraction(3, 2)
+    with pytest.raises(InternalInvariant):
+        f.scale_of_valuation(Fraction(1, 3))
+
+
+def test_rational_value_of_irrational_element():
+    f = make_field(2, (-1,))
+    assert (f.one * Fraction(3, 4)).rational_value() == Fraction(3, 4)
+    with pytest.raises(InternalInvariant):
+        f.sqrt_gen(0).rational_value()
+
+
+def test_float_operands_are_rejected():
+    # exact arithmetic never takes a float, even one that is exactly binary
+    x = OMEGA.sqrt_gen(0)
+    for op in (lambda: x * 0.5, lambda: 0.5 * x, lambda: x + 0.5,
+               lambda: 0.5 - x, lambda: x / 0.5):
+        with pytest.raises(TypeError):
+            op()
