@@ -198,10 +198,6 @@ def branch_member(q: Matrix2, v: Vertex) -> bool:
     return True
 
 
-def family_member(qs, v: Vertex) -> bool:
-    return all(branch_member(q, v) for q in qs)
-
-
 def branch_of_family(qs, field: LocalField) -> ConvexSubtree:
     """Intersection of the individual closed-form branches."""
     out = WHOLE
@@ -270,9 +266,7 @@ def sample_integral_matrix(field: LocalField, rng: random.Random) -> Matrix2:
             if disc.is_zero():
                 continue
             d, _ = squarefree_part(disc.rational_value().numerator)
-            in_span = any(field.span_class[m][0] == d
-                          for m in range(1, field.degree))
-            if d == 1 or in_span or can_extend(field, d):
+            if field.mask_of(d) is not None or can_extend(field, d):
                 break
         core = Matrix2(zero, one, -n, t)
     while True:

@@ -243,10 +243,6 @@ class Window:
         return len(self.vertices)
 
 
-def window_vertices(center: Vertex, radius, cap=None) -> list:
-    return Window(center, radius, cap).vertices
-
-
 # ---------------------------------------------------------------------------
 # Moebius maps
 
@@ -358,10 +354,6 @@ class MoebiusMap:
 
     def __repr__(self):
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
-
-
-def moebius_apply(gamma: MoebiusMap, x):
-    return gamma.apply(x)
 
 
 def lattice_of_vertex(v: Vertex):
@@ -1111,28 +1103,26 @@ def e_vertex_test_untwisted(v: Vertex, sub: Subfield) -> bool:
 
 
 def emit_dot(vertices, highlight: ConvexSubtree = None, title="bttree") -> str:
-    """Deterministic DOT graph of a vertex set with tree edges and optional
-    highlighted membership."""
+    """Deterministic DOT graph of a set of lattice vertices (levels in
+    (1/e)Z, as in a window) with tree edges and optional highlighted
+    membership."""
     labeled = []
     for v in vertices:
         lvl, ck = v.key()
         labeled.append(((lvl, ck), v))
     labeled.sort(key=lambda x: (x[0][0], x[0][1]))
     lines = [f'graph "{title}" {{', "  node [shape=circle];"]
-    ids = {}
+    at = {}  # key -> the indices of every vertex carrying it
     for i, ((lvl, ck), v) in enumerate(labeled):
-        ids[(lvl, ck)] = f"v{i}"
+        at.setdefault((lvl, ck), []).append(i)
         label = f"B({ck}, {lvl})"
         style = ""
         if highlight is not None and highlight.contains(v):
             style = ', style=filled, fillcolor="lightblue"'
         lines.append(f'  v{i} [label="{label}"{style}];')
-    f = labeled[0][1].field if labeled else None
-    step = Fraction(1, f.e) if f else None
-    for i in range(len(labeled)):
-        for j in range(i + 1, len(labeled)):
-            vi, vj = labeled[i][1], labeled[j][1]
-            if distance(vi, vj) == step:
-                lines.append(f"  v{i} -- v{j};")
+    for i, (_, v) in enumerate(labeled):
+        later = sorted(j for n in neighbors(v) for j in at.get(n.key(), ())
+                       if j > i)
+        lines.extend(f"  v{i} -- v{j};" for j in later)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,6 +18,7 @@ from .errors import (FieldTooSmall, NotAbsolutelyIrreducible,
 from .padic import LocalField, make_field
 from .bttree import Vertex, Window, vertex_cap
 from .branch import branch_member
+from .linalg import rank
 from .quatalg import (HAMILTON, QuaternionAlgebra, find_trivialization,
                       maxorder_generators, q8_trivialization, standard_groups)
 from .twisted import (TwistedTree, standard_cocycle, subfield_vertex_test)
@@ -52,9 +53,7 @@ class CountingContext:
         self.images = [triv.image(g) for g in gens]
         self.tree = TwistedTree(
             ambient, standard_cocycle(ambient, triv.flip_d,
-                                      triv.cocycle_witness
-                                      if hasattr(triv, "cocycle_witness")
-                                      else triv.I))
+                                      triv.cocycle_witness))
         self._check_irreducible()
 
     def _check_irreducible(self):
@@ -63,41 +62,16 @@ class CountingContext:
         zero = self.ambient.zero
         from .bttree import MoebiusMap
         elems = [MoebiusMap(one, zero, zero, one)] + list(self.images)
-        rank = _rank4(self.ambient, [[m.a, m.b, m.c, m.d] for m in elems])
-        while rank < 4:
-            new_elems = [x * y for x in elems for y in self.images]
-            cand = elems + new_elems
-            new_rank = _rank4(self.ambient, [[m.a, m.b, m.c, m.d] for m in cand])
-            if new_rank == rank:
+        r = rank([[m.a, m.b, m.c, m.d] for m in elems])
+        while r < 4:
+            cand = elems + [x * y for x in elems for y in self.images]
+            new_r = rank([[m.a, m.b, m.c, m.d] for m in cand])
+            if new_r == r:
                 break
-            elems, rank = cand, new_rank
-        if rank < 4:
+            elems, r = cand, new_r
+        if r < 4:
             raise NotAbsolutelyIrreducible(
-                f"generated algebra has rank {rank} < 4")
-
-
-def _rank4(field, vecs):
-    work = [list(v) for v in vecs]
-    rank = 0
-    for col in range(4):
-        piv = None
-        for r in range(rank, len(work)):
-            if not work[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][col].inv()
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == 4:
-            break
-    return rank
+                f"generated algebra has rank {r} < 4")
 
 
 _TRIV_EXTENSIONS = [-3, -1, 2, -2, 3, 6, -6]

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import (DivisionByZero, InternalInvariant, NotSquareFree,
                      SplitPrime, ZeroInput)
@@ -203,6 +204,8 @@ class LocalField:
                     )
                 if quad_ext_type(d, p) == "split":
                     raise SplitPrime(f"Q_{p}(sqrt({d})) splits at {p}")
+        # squarefree class -> its monomial mask (1 -> 0)
+        self._masks = {d: m for m, (d, _) in self.span_class.items()}
         self.f = 2 if any(
             quad_ext_type(self.span_class[m][0], p) == "unramified"
             for m in range(1, self.degree)
@@ -256,6 +259,11 @@ class LocalField:
         num = [0] * self.degree
         num[mask] = coef.numerator
         return _element(self, tuple(num), coef.denominator)
+
+    def mask_of(self, d: int):
+        """The monomial mask whose square class is the squarefree d (0 for
+        d = 1), or None if sqrt(d) is not in this field."""
+        return self._masks.get(d)
 
     def sqrt_gen(self, i: int) -> "FieldElement":
         return self.monomial(1 << i)
@@ -513,13 +521,8 @@ class LocalField:
         """Locate the subfield generated by the given (squarefree) integers."""
         want = {0}
         for d in sqrt_args:
-            sf, _ = squarefree_part(int(d))
-            mask = None
-            for m in range(1, self.degree):
-                if self.span_class[m][0] == sf:
-                    mask = m
-                    break
-            if mask is None:
+            mask = self.mask_of(squarefree_part(int(d))[0])
+            if not mask:
                 raise ValueError(f"sqrt({d}) not in {self}")
             want = want | {x ^ mask for x in want}
         for sub in self.subfields():
@@ -611,6 +614,8 @@ class FieldElement:
                         self.den * other.numerator)
 
     def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.inv() * other
         return self._coerce(other) / self
 
     def __pow__(self, n: int):
@@ -730,6 +735,18 @@ def _reduced(field: LocalField, num: tuple, den: int) -> FieldElement:
             num = tuple([a // g for a in num])
             den //= g
     return _element(field, num, den)
+
+
+def rational_image(rows, den: int, x: FieldElement,
+                   target: LocalField) -> list:
+    """(rows / den) . x.coords for integer rows, cut into consecutive
+    elements of target; computed on x's integer numerator, with no Fraction
+    coordinates built."""
+    y = [sum(map(mul, row, x.num)) for row in rows]
+    den *= x.den
+    n = target.degree
+    return [_reduced(target, tuple(y[i:i + n]), den)
+            for i in range(0, len(y), n)]
 
 
 def element_sqrt(x: FieldElement):

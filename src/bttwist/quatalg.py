@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldTooSmall, NotIntegral
+from .errors import FieldTooSmall, InternalInvariant, NotIntegral
 from .padic import (FieldElement, LocalField, legendre, squarefree_part,
-                    vp_int)
+                    vp_frac, vp_int)
 from .bttree import MoebiusMap
+from .linalg import det, echelon, inverse, mat_vec
 
 Matrix2 = MoebiusMap
 
@@ -194,6 +195,26 @@ def is_division_at(alg: QuaternionAlgebra, p: int) -> bool:
 # -- trivializations -----------------------------------------------------------
 
 
+def _vec(m: Matrix2):
+    return [m.a, m.b, m.c, m.d]
+
+
+def _coordinate_inverse(basis):
+    """Inverse of the matrix whose columns are the basis matrices, taken
+    once per trivialization."""
+    return inverse(list(zip(*map(_vec, basis))))
+
+
+def _matrix_coords(self, X: Matrix2):
+    """Quaternion coordinates (as field elements) of a 2x2 matrix."""
+    return tuple(mat_vec(self._to_coords, _vec(X)))
+
+
+def _check_alg(q: Quaternion, alg: QuaternionAlgebra):
+    if q.alg != alg:
+        raise InternalInvariant(f"{q} is not in {alg}")
+
+
 class Trivialization:
     """An isomorphism of the algebra (over a splitting model field) with the
     2x2 matrices, given by the images of i and j.
@@ -213,11 +234,15 @@ class Trivialization:
         ident = Matrix2(one, field.zero, field.zero, one)
         aI = _scalar_mat(field, alg.a)
         bI = _scalar_mat(field, alg.b)
-        assert _mat_eq(I * I, aI), "i-image relation fails"
-        assert _mat_eq(J * J, bI), "j-image relation fails"
-        assert _mat_eq(I * J, _neg(J * I)), "anticommutation fails"
+        if not _mat_eq(I * I, aI):
+            raise InternalInvariant("i-image relation fails")
+        if not _mat_eq(J * J, bI):
+            raise InternalInvariant("j-image relation fails")
+        if not _mat_eq(I * J, _neg(J * I)):
+            raise InternalInvariant("anticommutation fails")
         self.K = I * J
         self.basis = (ident, I, J, self.K)
+        self._to_coords = _coordinate_inverse(self.basis)
         self.cocycle_witness = self._find_witness()
 
     def _find_witness(self) -> Matrix2:
@@ -243,7 +268,7 @@ class Trivialization:
         return W
 
     def image(self, q: Quaternion) -> Matrix2:
-        assert q.alg == self.alg
+        _check_alg(q, self.alg)
         out = None
         for c, m in zip(q.x, self.basis):
             term = Matrix2(m.a * c, m.b * c, m.c * c, m.d * c)
@@ -251,12 +276,7 @@ class Trivialization:
                 out.a + term.a, out.b + term.b, out.c + term.c, out.d + term.d)
         return out
 
-    def matrix_coords(self, X: Matrix2):
-        """Quaternion coordinates (as field elements) of a 2x2 matrix."""
-        cols = [_vec(m) for m in self.basis]
-        target = _vec(X)
-        sol = _solve4(self.field, cols, target)
-        return tuple(sol)
+    matrix_coords = _matrix_coords
 
 
 def _scalar_mat(field, c) -> Matrix2:
@@ -273,35 +293,13 @@ def _mat_eq(m1: Matrix2, m2: Matrix2) -> bool:
     return (m1.a == m2.a and m1.b == m2.b and m1.c == m2.c and m1.d == m2.d)
 
 
-def _vec(m: Matrix2):
-    return [m.a, m.b, m.c, m.d]
-
-
-def _solve4(field, cols, target):
-    """Solve a 4x4 linear system over the field by Gaussian elimination."""
-    n = 4
-    aug = [[cols[j][i] for j in range(n)] + [target[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if not aug[r][col].is_zero())
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def _flip_mask(field: LocalField, d: int) -> int:
-    """A Galois mask flipping sqrt(d) (and possibly other generators)."""
-    for m in range(1, field.degree):
-        if field.span_class[m][0] == d:
-            # flip exactly the lowest generator occurring in the monomial
-            for i in range(field.k):
-                if m >> i & 1:
-                    return 1 << i
-    raise ValueError(f"sqrt({d}) not in {field}")
+    """A Galois mask flipping sqrt(d): exactly the lowest generator
+    occurring in its monomial."""
+    m = field.mask_of(d)
+    if not m:
+        raise ValueError(f"sqrt({d}) not in {field}")
+    return m & -m
 
 
 def standard_trivialization(alg: QuaternionAlgebra, field: LocalField,
@@ -387,18 +385,18 @@ class _ComposedTrivialization:
         self.field = field
         self.inner = inner
         self.flip_d = inner.flip_d
-        self.I = inner.I  # cocycle witness: the image of the (-2,-3) i
+        self.I = inner.I
+        self.cocycle_witness = inner.I  # the image of the (-2,-3) i
         self.basis = tuple(inner.image(_phi(q)) for q in (
             quat(HAMILTON, 1), quat(HAMILTON, 0, 1),
             quat(HAMILTON, 0, 0, 1), quat(HAMILTON, 0, 0, 0, 1)))
+        self._to_coords = _coordinate_inverse(self.basis)
 
     def image(self, q: Quaternion) -> Matrix2:
-        assert q.alg == HAMILTON
+        _check_alg(q, HAMILTON)
         return self.inner.image(_phi(q))
 
-    def matrix_coords(self, X: Matrix2):
-        cols = [_vec(m) for m in self.basis]
-        return tuple(_solve4(self.field, cols, _vec(X)))
+    matrix_coords = _matrix_coords
 
 
 def _phi(q: Quaternion) -> Quaternion:
@@ -418,33 +416,6 @@ def _phi(q: Quaternion) -> Quaternion:
 # -- orders and maximality -------------------------------------------------------
 
 
-def _echelon_valuation(field_p: int, vectors):
-    """Echelonize rational 4-vectors over Z_(p) by valuation pivoting.
-
-    Returns a list of at most 4 basis vectors (tuples of Fractions)."""
-    from .padic import vp_frac
-    vecs = [list(v) for v in vectors]
-    basis = []
-    for col in range(4):
-        best = None
-        for r, v in enumerate(vecs):
-            if v[col] == 0:
-                continue
-            val = vp_frac(v[col], field_p)
-            if best is None or val < best[1]:
-                best = (r, val)
-        if best is None:
-            continue
-        pivot = vecs.pop(best[0])
-        basis.append(pivot)
-        for v in vecs:
-            if v[col] != 0:
-                f = v[col] / pivot[col]
-                for idx in range(4):
-                    v[idx] -= f * pivot[idx]
-    return [tuple(v) for v in basis]
-
-
 def order_closure(alg: QuaternionAlgebra, gens, p: int):
     """Multiplicative closure of Z_(p)[gens] as a lattice, plus maximality.
 
@@ -453,13 +424,17 @@ def order_closure(alg: QuaternionAlgebra, gens, p: int):
     Gram determinant for division)."""
     one = quat(alg, 1)
     for g in gens:
-        if vp_frac_int(g.trd(), p) < 0 or vp_frac_int(g.nrd(), p) < 0:
+        if vp_frac(g.trd(), p) < 0 or vp_frac(g.nrd(), p) < 0:
             raise NotIntegral(f"generator {g} is not integral at {p}")
-    basis = _echelon_valuation(p, [one.x] + [g.x for g in gens])
+
+    def val(x):
+        return vp_frac(x, p)
+
+    basis = echelon([one.x] + [g.x for g in gens], val)
     while True:
         prods = [Quaternion(alg, b1) * Quaternion(alg, b2)
                  for b1 in basis for b2 in basis]
-        new_basis = _echelon_valuation(p, list(basis) + [q.x for q in prods])
+        new_basis = echelon(list(basis) + [q.x for q in prods], val)
         if _same_lattice(p, basis, new_basis):
             break
         basis = new_basis
@@ -467,39 +442,13 @@ def order_closure(alg: QuaternionAlgebra, gens, p: int):
         raise NotIntegral("generators do not span the algebra")
     qb = [Quaternion(alg, b) for b in basis]
     gram = [[(qb[i] * qb[j]).trd() for j in range(4)] for i in range(4)]
-    det = _det4(gram)
-    v = vp_frac_int(det, p)
+    v = vp_frac(det(gram), p)
     target = 2 if is_division_at(alg, p) else 0
     return basis, v == target, v
-
-
-def vp_frac_int(x: Fraction, p: int):
-    from .padic import vp_frac
-    return vp_frac(Fraction(x), p)
 
 
 def _same_lattice(p, b1, b2):
     # the closure only grows, so equal volumes mean equal lattices
     if len(b1) != len(b2):
         return False
-    return _volume(p, b1) == _volume(p, b2)
-
-
-def _volume(p, basis):
-    m = [list(v) for v in basis]
-    if len(m) < 4:
-        return None
-    return vp_frac_int(_det4(m), p)
-
-
-def _det4(m):
-    import itertools
-    det = Fraction(0)
-    for perm in itertools.permutations(range(4)):
-        inv = sum(1 for i in range(4) for j in range(i + 1, 4)
-                  if perm[i] > perm[j])
-        term = Fraction(1)
-        for i in range(4):
-            term *= Fraction(m[i][perm[i]])
-        det += -term if inv % 2 else term
-    return det
+    return len(b1) < 4 or vp_frac(det(b1), p) == vp_frac(det(b2), p)

@@ -9,33 +9,15 @@ vertex must be spanned over O_L by its E-rational quaternions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import CocycleLawViolated
-from .padic import FieldElement, LocalField, Subfield, parity
+from .errors import CocycleLawViolated, InternalInvariant
+from .padic import (FieldElement, LocalField, Subfield, parity,
+                    rational_image)
 from .bttree import BoundaryPoint, MoebiusMap, Vertex
+from .linalg import det, echelon, inverse
 from .quatalg import Matrix2
-
-
-class GaloisGroup:
-    """Gal(L/Q_p) of a model field: sign patterns on the square roots."""
-
-    def __init__(self, field: LocalField):
-        self.field = field
-        self.elements = tuple(range(field.degree))
-
-    def compose(self, s: int, t: int) -> int:
-        return s ^ t
-
-    def subgroup_fixing(self, sub: Subfield) -> tuple:
-        return sub.fixing_masks()
-
-    def flips(self, sigma: int, d: int) -> bool:
-        """Does sigma change the sign of sqrt(d)?"""
-        for m in range(1, self.field.degree):
-            if self.field.span_class[m][0] == d:
-                return parity(sigma & m) == 1
-        raise ValueError(f"sqrt({d}) not in {self.field}")
 
 
 class Cocycle:
@@ -71,11 +53,12 @@ def standard_cocycle(field: LocalField, flip_d: int,
     With the division-algebra presentation (pi, Delta) and the trivialization
     i -> [[0,1],[pi,0]], j -> diag(sqrt Delta, -sqrt Delta), the witness is
     the i-image; general trivializations supply their own witness."""
-    G = GaloisGroup(field)
+    mask = field.mask_of(flip_d)
+    if not mask:
+        raise ValueError(f"sqrt({flip_d}) not in {field}")
     ident = MoebiusMap.identity(field)
-    maps = {}
-    for s in range(field.degree):
-        maps[s] = witness if G.flips(s, flip_d) else ident
+    maps = {s: witness if parity(s & mask) else ident
+            for s in range(field.degree)}
     return Cocycle(field, maps)
 
 
@@ -85,7 +68,6 @@ class TwistedTree:
     def __init__(self, field: LocalField, cocycle: Cocycle):
         self.field = field
         self.cocycle = cocycle
-        self.group = GaloisGroup(field)
 
     def apply(self, sigma: int, x):
         """tau * x = a_tau(tau(x)) on vertices and boundary points."""
@@ -147,44 +129,6 @@ def order_lattice_of_vertex(triv, v: Vertex):
     return vecs
 
 
-def echelon_over_field_ring(field: LocalField, vectors):
-    """Column echelon of vectors in field^4 over the valuation ring
-    (unimodular operations only: valuation pivoting, integral elimination)."""
-    vecs = [list(v) for v in vectors]
-    basis = []
-    for col in range(4):
-        best = None
-        for idx, v in enumerate(vecs):
-            if v[col].is_zero():
-                continue
-            val = v[col].valuation()
-            if best is None or val < best[1]:
-                best = (idx, val)
-        if best is None:
-            continue
-        pivot = vecs.pop(best[0])
-        for v in vecs:
-            if not v[col].is_zero():
-                coef = v[col] / pivot[col]
-                for i in range(4):
-                    v[i] = v[i] - coef * pivot[i]
-        basis.append(pivot)
-    return basis
-
-
-def det4_field(field: LocalField, cols):
-    import itertools
-    det = field.zero
-    for perm in itertools.permutations(range(4)):
-        inv = sum(1 for i in range(4) for j in range(i + 1, 4)
-                  if perm[i] > perm[j])
-        term = field.one
-        for i in range(4):
-            term = term * cols[i][perm[i]]
-        det = det + (-term if inv % 2 else term)
-    return det
-
-
 class SubfieldLattice:
     """Per (L, E) machinery: an O_E-basis of O_L adapted to valuations, and
     the decomposition of L over it."""
@@ -204,50 +148,23 @@ class SubfieldLattice:
                     u = r
                     break
             else:
-                raise AssertionError("no residue generator found")
-        self.mhat = []
-        for ti in range(self.e_rel):
-            for s in range(self.f_rel):
-                self.mhat.append(L.pi_pow(ti) * (u ** s))
-        assert len(self.mhat) == L.degree // E.degree
-        # rational change of basis: columns are embed(E-monomial)*mhat
-        cols = []
-        for mh in self.mhat:
-            for em in range(E.degree):
-                e_mono = E.monomial(em)
-                cols.append((sub.embed(e_mono) * mh).coords)
-        n = L.degree
-        self.to_mhat = _invert_rational([list(c) for c in cols], n)
+                raise InternalInvariant("no residue generator found")
+        self.mhat = [L.pi_pow(ti) * (u ** s)
+                     for ti in range(self.e_rel) for s in range(self.f_rel)]
+        if len(self.mhat) != L.degree // E.degree:
+            raise InternalInvariant(f"{len(self.mhat)} mhat for {sub}")
+        # rational change of basis: columns are embed(E-monomial)*mhat;
+        # its inverse is kept as integer rows over one denominator
+        cols = [(sub.embed(E.monomial(em)) * mh).coords
+                for mh in self.mhat for em in range(E.degree)]
+        to_mhat = inverse(list(zip(*cols)))
+        self._den = math.lcm(*(c.denominator for row in to_mhat for c in row))
+        self._rows = tuple(tuple(int(c * self._den) for c in row)
+                           for row in to_mhat)
 
     def decompose(self, x: FieldElement):
         """x = sum_s mhat_s * y_s with y_s in the subfield model."""
-        L, E = self.L, self.E
-        sol = _mat_vec(self.to_mhat, list(x.coords))
-        out = []
-        idx = 0
-        for _ in range(len(self.mhat)):
-            out.append(FieldElement(E, tuple(sol[idx: idx + E.degree])))
-            idx += E.degree
-        return out
-
-
-def _invert_rational(cols, n):
-    aug = [[cols[j][i] for j in range(n)] + [Fraction(int(i == k))
-            for k in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _mat_vec(m, v):
-    return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
+        return rational_image(self._rows, self._den, x, self.E)
 
 
 _SUBLATTICE_CACHE: dict = {}
@@ -282,9 +199,8 @@ def subfield_vertex_test(tree: TwistedTree, triv, v: Vertex,
     E = sub.field
     B = order_lattice_of_vertex(triv, v)
     # invert the matrix whose columns are the basis vectors
-    Binv = _invert_field_4(L, [[B[j][i] for j in range(4)] for i in range(4)])
+    Binv = inverse(list(zip(*B)))
     # one valuation-bounded E-functional per (matrix row, mhat component)
-    import math
     rows = []
     for i in range(4):
         parts = [mach.decompose(Binv[i][j]) for j in range(4)]
@@ -293,38 +209,10 @@ def subfield_vertex_test(tree: TwistedTree, triv, v: Vertex,
             grid = math.ceil(bound * E.e)  # smallest E-grid point >= bound
             piE = E.pi_pow(-grid)
             rows.append([piE * parts[j][s] for j in range(4)])
-    G = echelon_over_field_ring(E, rows)
+    G = echelon(rows, FieldElement.valuation)
     if len(G) < 4:
         return False
-    W = _dual_basis(E, G)
-    # compare volumes over L
-    W_L = [[sub.embed(x) for x in w] for w in W]
-    volW = det4_field(L, W_L).valuation()
-    volB = det4_field(L, [list(b) for b in B]).valuation()
-    return volW == volB
-
-
-def _invert_field_4(field: LocalField, rows_or_vecs):
-    """Inverse of the 4x4 matrix whose ROWS are the given coordinate vectors;
-    returns rows of the inverse."""
-    n = 4
-    aug = [[rows_or_vecs[i][j] for j in range(n)] +
-           [field.one if i == k else field.zero for k in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if not aug[r][col].is_zero())
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _dual_basis(field: LocalField, G):
-    """Basis of {x : <g, x> integral for all g in G}: columns of A^{-1},
-    where A is the matrix with rows the basis vectors G."""
-    inv_rows = _invert_field_4(field, [list(g) for g in G])
-    return [[inv_rows[r][c] for r in range(4)] for c in range(4)]
+    # the dual lattice {x : <g, x> integral for all g in G} is spanned by
+    # the columns of G^-1; compare its volume with the order's over L
+    W_L = [[sub.embed(x) for x in w] for w in zip(*inverse(G))]
+    return det(W_L).valuation() == det(B).valuation()

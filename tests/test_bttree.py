@@ -9,8 +9,7 @@ from bttwist.bttree import (BoundaryPoint, Meet, MoebiusMap,
                             Vertex, VertexEnd, Window, ball, distance,
                             e_vertex_test_untwisted, emit_dot, intersect,
                             lattice_of_vertex, line, neighbors, peak,
-                            same_type, standard_horoball, tube, tubular,
-                            window_vertices)
+                            same_type, standard_horoball, tube, tubular)
 
 from helpers import contains_set, path_vertices, rand_convex, \
     rand_moebius, rand_vertex
@@ -257,7 +256,7 @@ class TestIntersection:
 
 class TestWindows:
     def test_radius_zero(self):
-        assert window_vertices(B(Q2, 0, 0), 0) == [B(Q2, 0, 0)]
+        assert Window(B(Q2, 0, 0), 0).vertices == [B(Q2, 0, 0)]
 
     def test_counts_match_formula(self):
         # 1 + (q+1)(q^(eR) - 1)/(q - 1)
@@ -266,7 +265,7 @@ class TestWindows:
             q = fld.q
             n = int(q ** (Fraction(R) * fld.e))
             expect = 1 + (q + 1) * (n - 1) // (q - 1)
-            assert len(window_vertices(Vertex(fld.zero, Fraction(0)), R)) \
+            assert len(Window(Vertex(fld.zero, Fraction(0)), R).vertices) \
                 == expect
 
     def test_cap(self):
@@ -321,3 +320,19 @@ class TestDot:
                if ln.strip().startswith("v") and "[label" in ln]
         assert len(ids) == len(set(ids)) == len(win)
         assert "lightblue" in out1
+
+    @pytest.mark.parametrize("args", [(), (-3,)])
+    def test_edges_match_pairwise_scan(self, args):
+        # emit_dot finds edges through neighbors(); the O(n^2) distance scan
+        # it replaced is kept here as the reference
+        fld = make_field(2, args)
+        win = Window(Vertex(fld.zero, Fraction(0)), 2)
+        verts = sorted(win.vertices, key=lambda v: v.key())
+        step = Fraction(1, fld.e)
+        edges = [f"  v{i} -- v{j};" for i in range(len(verts))
+                 for j in range(i + 1, len(verts))
+                 if distance(verts[i], verts[j]) == step]
+        out = emit_dot(win.vertices, standard_horoball(fld, 0))
+        got = [ln for ln in out.splitlines() if " -- " in ln]
+        assert got == edges and len(edges) == len(win) - 1
+        assert out.endswith("\n".join(edges) + "\n}\n")

@@ -122,3 +122,10 @@ def test_stdout_unchanged_with_asserts_stripped(args):
     plain = run_cli(*args)
     optimized = run_cli(*args, python_flags=("-O",))
     assert optimized.stdout == plain.stdout
+
+
+def test_verify_fast_with_asserts_stripped():
+    # every acceptance criterion must hold with asserts stripped
+    proc = run_cli("verify", "--fast", python_flags=("-O",), check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "FAIL" not in proc.stdout

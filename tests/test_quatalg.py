@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bttwist.errors import FieldTooSmall, NotIntegral
+from bttwist.bttree import MoebiusMap
+from bttwist.errors import FieldTooSmall, InternalInvariant, NotIntegral
 from bttwist.padic import make_field
 from bttwist.quatalg import (DICYCLIC_ALG, HAMILTON, Quaternion,
                              QuaternionAlgebra, Trivialization,
@@ -162,6 +163,19 @@ class TestTrivializations:
         coords = g.matrix_coords(g.image(x))
         assert tuple(c.rational_value() for c in coords) == x.x
 
+    def test_bad_images_raise_internal_invariant(self):
+        # these checks were asserts, which python -O strips
+        F = make_field(2, (-3,))
+        alg, _ = maxorder_generators(2, -3)
+        good = find_trivialization(alg, F)
+        swap = MoebiusMap.from_rows(F, [[0, 1], [1, 0]])  # squares to 1, not 2
+        with pytest.raises(InternalInvariant, match="i-image"):
+            Trivialization(alg, F, swap, good.J, good.flip_d)
+        with pytest.raises(InternalInvariant):
+            good.image(U)
+        with pytest.raises(InternalInvariant):
+            q8_trivialization(F).image(quat(alg, 1))
+
 
 class TestOrderClosure:
     def test_hurwitz_order_is_maximal(self):
@@ -190,12 +204,13 @@ class TestOrderClosure:
         one = quat(alg, 1)
         # closure contains 1 and is multiplication-closed up to the lattice
         qb = [Quaternion(alg, b) for b in basis]
-        from bttwist.quatalg import _echelon_valuation, _volume
-        vol = _volume(2, basis)
+        from bttwist.linalg import det, echelon
+        from bttwist.padic import vp_frac
+        vol = vp_frac(det(basis), 2)
         prods = [x * y for x in qb for y in qb]
-        again = _echelon_valuation(2, list(basis) + [q.x for q in prods]
-                                   + [one.x])
-        assert _volume(2, again) == vol
+        again = echelon(list(basis) + [q.x for q in prods] + [one.x],
+                        lambda x: vp_frac(x, 2))
+        assert vp_frac(det(again), 2) == vol
 
     def test_rejects_non_integral(self):
         bad = quat(HAMILTON, Fraction(1, 2), Fraction(1, 2), 0, 0)
