@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NeedsExtension, NotAUnit
+from .errors import InternalInvariant, NeedsExtension, NotAUnit
 from .padic import (INFINITY, FieldElement, LocalField, element_sqrt,
                     make_field, squarefree_part)
 from .bttree import (
@@ -171,7 +171,8 @@ def branch_with_extension(q: Matrix2, field: LocalField):
 def lift_element(x: FieldElement, big: LocalField) -> FieldElement:
     """Embed into a model whose sqrt_args extend the element's field's."""
     small = x.field
-    assert big.sqrt_args[: small.k] == small.sqrt_args
+    if big.sqrt_args[: small.k] != small.sqrt_args:
+        raise InternalInvariant(f"{small} is not a prefix model of {big}")
     coords = [Fraction(0)] * big.degree
     for mask, c in enumerate(x.coords):
         coords[mask] = c

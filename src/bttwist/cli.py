@@ -28,33 +28,37 @@ def rat(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}")
+
+
 def parse_field(text: str):
     """Field syntax p:d1,d2,... (e.g. 2:-1,-3,2); bare "p" is the base."""
-    if ":" in text:
-        p_str, rest = text.split(":", 1)
-        args = tuple(int(t) for t in rest.split(",") if t.strip())
-    else:
-        p_str, args = text, ()
-    return int(p_str), args
+    p_str, _, rest = text.partition(":")
+    return int(p_str), tuple(int(t) for t in rest.split(",") if t.strip())
 
 
-def parse_matrix(text: str, field):
-    """Matrix syntax "a,b;c,d" with rational entries."""
-    rows = text.split(";")
-    if len(rows) != 2:
-        raise ValueError("matrix must have two rows separated by ';'")
-    entries = []
-    for row in rows:
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise ValueError("each matrix row needs two entries")
-        entries.extend(Fraction(p.strip()) for p in parts)
-    return Matrix2.from_rows(field, [entries[:2], entries[2:]])
+def parse_matrix(text: str):
+    """Matrix syntax "a,b;c,d" with rational entries, as two rows."""
+    rows = [row.split(",") for row in text.split(";")]
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        raise argparse.ArgumentTypeError(
+            f"matrix {text!r} is not of the form a,b;c,d")
+    return [[_fraction(x) for x in row] for row in rows]
+
+
+def parse_radius(text: str) -> Fraction:
+    r = _fraction(text)
+    if r < 0:
+        raise argparse.ArgumentTypeError(f"radius {text} is negative")
+    return r
 
 
 def cmd_field(args) -> int:
-    p, sqrts = parse_field(args.field_spec or f"{args.p}:" + ",".join(
-        str(d) for d in args.sqrts))
+    p, sqrts = args.p, tuple(args.sqrts)
     f = make_field(p, sqrts)
     subfields = [
         {"sqrt_args": list(s.field.sqrt_args), "e": s.field.e, "f": s.field.f}
@@ -76,12 +80,12 @@ def cmd_field(args) -> int:
 
 
 def cmd_branch(args) -> int:
-    p, sqrts = parse_field(args.field)
+    p, sqrts = args.field
     f = make_field(p, sqrts)
-    q = parse_matrix(args.matrix, f)
+    q = Matrix2.from_rows(f, args.matrix)
     S, ambient = branch_with_extension(q, f)
     center = Vertex(f.zero, Fraction(0))
-    win = Window(center, Fraction(args.radius))
+    win = Window(center, args.radius)
     members = []
     for v in win:
         lifted = v if ambient is f else Vertex(
@@ -110,17 +114,10 @@ def cmd_branch(args) -> int:
 
 
 def cmd_count_local(args) -> int:
-    p, sqrts = parse_field(args.field)
-    if args.group == "q8":
-        rep = counting.q8_counts(p, sqrts)
-    elif args.group == "hurwitz":
-        rep = counting.hurwitz_counts(p, sqrts)
-    elif args.group == "dicyclic":
-        rep = counting.dicyclic_counts(p, sqrts)
-    elif args.group == "maxorder":
-        rep = counting.maximal_order_forms(p, sqrts)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.group)
+    p, sqrts = args.field
+    rep = {"q8": counting.q8_counts, "hurwitz": counting.hurwitz_counts,
+           "dicyclic": counting.dicyclic_counts,
+           "maxorder": counting.maximal_order_forms}[args.group](p, sqrts)
     out = {
         "group": rep.group,
         "base_field": {"p": p, "sqrt_args": list(sqrts)},
@@ -162,7 +159,7 @@ def cmd_global(args) -> int:
         kwargs["resolve_rep"] = globalforms.case_c_example_rep(args.N)
         kwargs.setdefault("assert_existence", True)
     res = globalforms.global_count(args.N, **kwargs)
-    out = {k: v for k, v in res.items()}
+    out = dict(res)
     if "case_c_pair" in out:
         out["case_c_pair"] = list(out["case_c_pair"])
     print(json.dumps(out, sort_keys=True))
@@ -186,19 +183,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("-p", type=int, required=True)
     p_field.add_argument("--sqrts", type=lambda s: [int(t) for t in s.split(",") if t],
                          default=[])
-    p_field.set_defaults(func=cmd_field, field_spec=None)
+    p_field.set_defaults(func=cmd_field)
 
     p_branch = sub.add_parser("branch", help="branch of a 2x2 matrix")
-    p_branch.add_argument("--field", required=True, help="p:d1,d2,...")
-    p_branch.add_argument("--matrix", required=True, help='"a,b;c,d"')
-    p_branch.add_argument("--radius", type=Fraction, default=Fraction(2))
+    p_branch.add_argument("--field", required=True, type=parse_field,
+                          help="p:d1,d2,...")
+    p_branch.add_argument("--matrix", required=True, type=parse_matrix,
+                          help='"a,b;c,d"')
+    p_branch.add_argument("--radius", type=parse_radius, default=Fraction(2))
     p_branch.add_argument("--dot", help="write a DOT graph of the window")
     p_branch.set_defaults(func=cmd_branch)
 
     p_count = sub.add_parser("count-local", help="count local integral forms")
     p_count.add_argument("--group", required=True,
                          choices=["q8", "hurwitz", "dicyclic", "maxorder"])
-    p_count.add_argument("--field", required=True, help="p:d1,d2,...")
+    p_count.add_argument("--field", required=True, type=parse_field,
+                         help="p:d1,d2,...")
     p_count.set_defaults(func=cmd_count_local)
 
     p_table = sub.add_parser("table1",

@@ -4,19 +4,21 @@ tree inside the twisted form and count vertices.
 For an absolutely irreducible representation the count over E is the number
 of vertices of the E-subtree whose maximal orders contain the group image.
 Everything runs in an ambient model field large enough to split the algebra
-and host the trivialization; windows grow adaptively until the branch sits
-strictly inside.
+and host the trivialization.  The branch is an intersection of subtrees, so
+it is convex and connected: a breadth-first walk finds its nearest vertex and
+a flood fill through members finds the rest.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import (FieldTooSmall, NotAbsolutelyIrreducible,
-                     WindowInsufficient, WindowTooLarge)
-from .padic import LocalField, make_field
-from .bttree import Vertex, Window, vertex_cap
+from .errors import (FieldTooSmall, InternalInvariant,
+                     NotAbsolutelyIrreducible, WindowInsufficient)
+from .padic import LocalField, make_field, quad_ext_type, squarefree_part
+from .bttree import MoebiusMap, Vertex, neighbors, vertex_cap
 from .branch import branch_member
 from .linalg import rank
 from .quatalg import (HAMILTON, QuaternionAlgebra, find_trivialization,
@@ -38,7 +40,9 @@ class IFReport:
     def __post_init__(self):
         if not self.vertex_ids:
             self.vertex_ids = [v.key() for v in self.vertices]
-        assert self.count == len(self.vertices)
+        if self.count != len(self.vertices):
+            raise InternalInvariant(
+                f"count {self.count} != {len(self.vertices)} vertices")
 
 
 class CountingContext:
@@ -58,10 +62,7 @@ class CountingContext:
 
     def _check_irreducible(self):
         """The generated algebra must be all of the 2x2 matrices."""
-        one = self.ambient.one
-        zero = self.ambient.zero
-        from .bttree import MoebiusMap
-        elems = [MoebiusMap(one, zero, zero, one)] + list(self.images)
+        elems = [MoebiusMap.identity(self.ambient)] + list(self.images)
         r = rank([[m.a, m.b, m.c, m.d] for m in elems])
         while r < 4:
             cand = elems + [x * y for x in elems for y in self.images]
@@ -113,53 +114,53 @@ def make_context(group: str, p: int, e_args: tuple,
 
 def _unram_unit(p: int) -> int:
     """A small squarefree integer generating the unramified quadratic."""
-    from .padic import quad_ext_type
     for d in (-3, -1, 2, -2, 3, 5, -5, 6, -6, 7):
         if quad_ext_type(d, p) == "unramified":
             return d
-    raise AssertionError("no unramified unit found")
+    raise FieldTooSmall(f"no small unramified unit found at p={p}")
 
 
-def _subfield_of(ambient: LocalField, e_args: tuple):
-    """The registered subfield for the given generators."""
-    return ambient.find_subfield(tuple(e_args))
+def branch_vertices(images, center: Vertex) -> list:
+    """The vertices whose maximal orders contain every image, in
+    breadth-first order from center.  The branch is convex, so the walk
+    searches outward to the nearest member and then flood-fills from it
+    through members only.  Every vertex tested counts against the vertex
+    cap; passing it raises WindowInsufficient."""
+    cap, tested = vertex_cap(), 0
+    members, queue = [], deque([(center, None)])
+    while queue:
+        v, parent = queue.popleft()
+        tested += 1
+        if tested > cap:
+            raise WindowInsufficient(f"branch search exceeds vertex cap {cap}")
+        if all(branch_member(m, v) for m in images):
+            if not members:
+                queue.clear()  # v is the nearest member: flood-fill from it
+            members.append(v)
+        elif members:
+            continue
+        queue.extend((n, v) for n in neighbors(v)
+                     if parent is None or n != parent)
+    return members
 
 
 def count_integral_forms(ctx: CountingContext, e_args: tuple,
-                         initial_radius=Fraction(3, 4)) -> IFReport:
+                         initial_radius=None) -> IFReport:
     """Count the group's integral forms over the subfield given by e_args.
 
-    The window starts at the given radius around the standard center and
-    doubles (up to the vertex cap) until the branch is strictly inside.
+    The branch is found from the standard center by `branch_vertices`;
+    initial_radius is accepted for old callers and has no effect.
     """
     amb = ctx.ambient
     e_args = tuple(e_args)
     span_args = {amb.span_class[m][0] for m in range(1, amb.degree)}
-    from .padic import squarefree_part
     wanted = {squarefree_part(int(d))[0] for d in e_args}
     if wanted and not wanted.issubset(span_args):
         raise ValueError(f"{e_args} does not embed in the ambient {amb}")
-    whole = wanted and _span_of(amb, wanted) == span_args
-    sub = None if whole else _subfield_of(amb, e_args)
+    whole = wanted and _span_of(wanted) == span_args
+    sub = None if whole else amb.find_subfield(e_args)
     center_level = Fraction(-1, 2) if amb.e % 2 == 0 else Fraction(0)
-    center = Vertex(amb.zero, center_level)
-    radius = Fraction(initial_radius)
-    cap = vertex_cap()
-    while True:
-        try:
-            win = Window(center, radius, cap)
-        except WindowTooLarge as exc:
-            raise WindowInsufficient(str(exc))
-        d_max = max(win.distances)
-        picked = [(v, d) for v, d in zip(win.vertices, win.distances)
-                  if all(branch_member(m, v) for m in ctx.images)]
-        members = [v for v, _ in picked]
-        if members and d_max > 0 and max(d for _, d in picked) < d_max:
-            break
-        if len(win) >= cap:
-            raise WindowInsufficient(
-                f"branch not strictly inside any window up to cap {cap}")
-        radius *= 2
+    members = branch_vertices(ctx.images, Vertex(amb.zero, center_level))
     if sub is None:
         vertices = [v for v in members
                     if (v.level * amb.e).denominator == 1]
@@ -172,9 +173,8 @@ def count_integral_forms(ctx: CountingContext, e_args: tuple,
                     len(vertices), vertices)
 
 
-def _span_of(field: LocalField, gens):
+def _span_of(gens):
     span = {1}
-    from .padic import squarefree_part
     for d in gens:
         span = span | {squarefree_part(d * x)[0] for x in span}
     return span - {1}
@@ -219,11 +219,7 @@ def table1() -> dict:
     cross-intersections between ramified-pair classes."""
     ctx = make_context("q8", 2, OMEGA_ARGS)
     amb = ctx.ambient
-    center = Vertex(amb.zero, Fraction(-1, 2))
-    win = Window(center, Fraction(3, 4))
-    members = [v for v in win
-               if all(branch_member(m, v) for m in ctx.images)]
-    assert len(members) == 26, f"expected the 26-element branch, got {len(members)}"
+    members = count_integral_forms(ctx, OMEGA_ARGS).vertices
     subs = [s for s in amb.subfields() if s.field.degree > 1]
     defined_over = {i: [] for i in range(len(members))}
     rows = []

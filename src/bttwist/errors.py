@@ -10,6 +10,10 @@ class InternalInvariant(BttwistError):
 
 
 # field construction / arithmetic
+class NotPrime(BttwistError, ValueError):
+    pass
+
+
 class SplitPrime(BttwistError):
     pass
 

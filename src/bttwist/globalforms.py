@@ -16,8 +16,8 @@ from fractions import Fraction
 from .errors import (BadN, DyadicSplit, ExistenceFails, ExistenceUnknown,
                      InvalidRepresentation, WrongResidue)
 from .padic import make_field, squarefree_part
-from .bttree import MoebiusMap, Vertex, Window, distance
-from .branch import branch_member
+from .bttree import MoebiusMap, Vertex, distance
+from .enumerate import branch_vertices
 
 
 @dataclass(frozen=True)
@@ -352,12 +352,7 @@ def resolve_case_c(N: int, rep) -> int:
     C = class_group(N)
     hh2 = h2(C)
     v0 = Vertex(f.zero, Fraction(0))
-    win = Window(v0, 2)
-    members = [v for v in win
-               if branch_member(i_mat, v) and branch_member(j_mat, v)]
-    if not members:
-        raise InvalidRepresentation("no maximal order contains the image nearby")
-    dmin = min(distance(v0, v) for v in members)
+    dmin = distance(v0, branch_vertices([i_mat, j_mat], v0)[0])
     nu2 = f.from_rational(2).valuation()
     if dmin == nu2:
         return 3 * hh2

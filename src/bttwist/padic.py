@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .errors import (DivisionByZero, InternalInvariant, NotSquareFree,
-                     SplitPrime, ZeroInput)
+from .errors import (DivisionByZero, InternalInvariant, NotPrime,
+                     NotSquareFree, SplitPrime, ZeroInput)
 
 
 class _Infinity:
@@ -179,7 +179,7 @@ class LocalField:
 
     def __init__(self, p: int, sqrt_args: tuple):
         if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+            raise NotPrime(f"p must be prime, got {p}")
         self.p = p
         self.sqrt_args = tuple(int(d) for d in sqrt_args)
         for d in self.sqrt_args:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bttwist.errors import NeedsExtension, NotAUnit
+from bttwist.errors import InternalInvariant, NeedsExtension, NotAUnit
 from bttwist.padic import make_field
 from bttwist.bttree import (BoundaryPoint, Horoball, Tube, Vertex, Window,
                             distance, intersect, line, tubular)
@@ -133,6 +133,18 @@ class TestOracle:
         v1 = Vertex(L.zero, Fraction(-1))
         for v in (v0, v1):
             assert branch_member(i_img, v) and branch_member(jm1, v)
+
+
+class TestLift:
+    def test_lift_keeps_coordinates(self):
+        x = make_field(2, (-1,)).sqrt_gen(0)
+        big = make_field(2, (-1, -3))
+        assert lift_element(x, big) == big.sqrt_gen(0)
+
+    def test_lift_into_a_non_extension_is_internal_invariant(self):
+        x = make_field(2, (-1,)).sqrt_gen(0)
+        with pytest.raises(InternalInvariant):
+            lift_element(x, make_field(2, (-3, -1)))
 
 
 class TestFamilies:

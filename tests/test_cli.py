@@ -99,6 +99,25 @@ def test_usage_errors_exit_two():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("branch", "--field", "2:", "--matrix", "1,2"),
+    ("branch", "--field", "2:", "--matrix", "1,2;3,x"),
+    ("count-local", "--group", "q8", "--field", "2:x"),
+    ("branch", "--field", "2:", "--matrix", "0,1;0,0", "--radius", "-1"),
+])
+def test_malformed_arguments_are_usage_errors(args):
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "usage:" in proc.stderr
+
+
+def test_non_prime_p_is_a_json_error():
+    proc = run_cli("field", "-p", "4", check=False)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "NotPrime"
+
+
 def test_vertex_cap_env():
     proc = run_cli("count-local", "--group", "q8", "--field", "2:-3",
                    env_extra={"BTTWIST_VERTEX_CAP": "2"}, check=False)

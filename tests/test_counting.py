@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from bttwist.errors import (NotAbsolutelyIrreducible, WindowInsufficient)
+from bttwist.errors import (FieldTooSmall, InternalInvariant,
+                            NotAbsolutelyIrreducible, WindowInsufficient)
 from bttwist.padic import make_field
 from bttwist.bttree import Vertex, distance
 from bttwist import enumerate as counting
@@ -128,6 +129,13 @@ class TestStructuralProperties:
         finally:
             del os.environ["BTTWIST_VERTEX_CAP"]
 
+    def test_walk_fits_a_cap_the_doubling_scan_exceeds(self, monkeypatch):
+        # the walk tests the 6 members and their 20 outside neighbors; the
+        # doubling scan needed a 106-vertex window to see the branch inside
+        ctx = counting.make_context("q8", 2, (-3, -1))
+        monkeypatch.setenv("BTTWIST_VERTEX_CAP", "30")
+        assert counting.count_integral_forms(ctx, (-3, -1)).count == 6
+
     def test_reducible_input_rejected(self):
         from bttwist.quatalg import HAMILTON, q8_trivialization, quat
         amb = make_field(2, (-3,))
@@ -135,6 +143,17 @@ class TestStructuralProperties:
         scalars = [quat(HAMILTON, 2), quat(HAMILTON, 3)]
         with pytest.raises(NotAbsolutelyIrreducible):
             counting.CountingContext("scalars", amb, triv, scalars)
+
+    def test_report_count_mismatch_is_internal_invariant(self):
+        rep = counting.q8_counts(2, (-3,))
+        with pytest.raises(InternalInvariant):
+            counting.IFReport(rep.group, rep.subfield_args, rep.ambient_args,
+                              rep.e, rep.f, rep.count + 1, rep.vertices)
+
+    def test_no_small_unramified_unit_is_field_too_small(self):
+        # -3, -1, 2, 3, 5, 6, 7 and their negatives are all squares mod 1009
+        with pytest.raises(FieldTooSmall):
+            counting.maximal_order_forms(1009, ())
 
     def test_report_ids_are_canonical(self):
         rep = counting.q8_counts(2, (-3,))
