@@ -16,14 +16,16 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import (FieldTooSmall, InternalInvariant,
-                     NotAbsolutelyIrreducible, WindowInsufficient)
+                     NotAbsolutelyIrreducible, NotSquareFree, SplitPrime,
+                     WindowInsufficient)
 from .padic import LocalField, make_field, quad_ext_type, squarefree_part
 from .bttree import MoebiusMap, Vertex, neighbors, vertex_cap
 from .branch import branch_member
 from .linalg import rank
 from .quatalg import (HAMILTON, QuaternionAlgebra, find_trivialization,
                       maxorder_generators, q8_trivialization, standard_groups)
-from .twisted import (TwistedTree, standard_cocycle, subfield_vertex_test)
+from .twisted import (TwistedTree, VertexOrder, standard_cocycle,
+                      subfield_vertex_test)
 
 
 @dataclass
@@ -80,6 +82,7 @@ _TRIV_EXTENSIONS = [-3, -1, 2, -2, 3, 6, -6]
 
 def _ambient_for(alg: QuaternionAlgebra, p: int, e_args: tuple):
     """A model containing E and admitting a trivialization of the algebra."""
+    make_field(p, e_args)  # a bad base field raises its own error
     candidates = [tuple(e_args)]
     for extra in _TRIV_EXTENSIONS:
         candidates.append(tuple(e_args) + (extra,))
@@ -87,7 +90,7 @@ def _ambient_for(alg: QuaternionAlgebra, p: int, e_args: tuple):
     for args in candidates:
         try:
             amb = make_field(p, args)
-        except Exception as exc:
+        except (NotSquareFree, SplitPrime) as exc:  # extra in E or split at p
             last_err = exc
             continue
         try:
@@ -221,12 +224,13 @@ def table1() -> dict:
     amb = ctx.ambient
     members = count_integral_forms(ctx, OMEGA_ARGS).vertices
     subs = [s for s in amb.subfields() if s.field.degree > 1]
+    orders = [VertexOrder(ctx.tree, ctx.triv, v) for v in members]
     defined_over = {i: [] for i in range(len(members))}
     rows = []
     for s in subs:
         hit = []
-        for i, v in enumerate(members):
-            if subfield_vertex_test(ctx.tree, ctx.triv, v, s):
+        for i, order in enumerate(orders):
+            if order.in_subtree(s):
                 hit.append(i)
                 defined_over[i].append(s.field.sqrt_args)
         rows.append({

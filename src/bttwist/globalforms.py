@@ -154,8 +154,7 @@ def reduced_forms(D: int) -> list:
 
 
 def discriminant_of(N: int) -> int:
-    sf, _ = squarefree_part(N)
-    if sf != N or N <= 0:
+    if N <= 0 or squarefree_part(N)[0] != N:
         raise BadN(f"N must be a positive squarefree integer, got {N}")
     return -N if (-N) % 4 == 1 else -4 * N
 
@@ -261,8 +260,7 @@ def dyadic_class_square(N: int, C: ClassGroup = None) -> bool:
 def serre_existence(N: int) -> bool:
     """For N = 3 (mod 8): an integral global form exists iff every prime
     divisor of N is 1 or 3 (mod 8), i.e. N = x^2 + 2y^2."""
-    sf, _ = squarefree_part(N)
-    if sf != N or N <= 0:
+    if N <= 0 or squarefree_part(N)[0] != N:
         raise BadN(f"N must be positive squarefree, got {N}")
     if N % 8 != 3:
         raise WrongResidue(f"criterion applies to N = 3 mod 8, got {N % 8}")

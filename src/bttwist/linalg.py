@@ -77,9 +77,10 @@ def echelon(vectors, val) -> list:
         if not live:
             continue
         pivot = vecs.pop(min(live)[1])
+        inv = 1 / pivot[col]
         for v in vecs:
             if v[col] != 0:
-                f = v[col] / pivot[col]
+                f = v[col] * inv
                 v[:] = [x - f * y for x, y in zip(v, pivot)]
         basis.append(tuple(pivot))
     return basis

@@ -855,14 +855,20 @@ class Subfield:
         return f"Subfield({self.field!r} in {self.parent!r})"
 
 
-def _build_subfield(parent: LocalField, span: frozenset) -> Subfield:
-    # independent generating masks for the span, smallest first
-    gens = []
-    got = {0}
-    for m in sorted(span):
-        if m and m not in got:
+def xor_basis(masks) -> list:
+    """Independent masks generating the same group under xor as the given
+    ones, each the first of the masks outside the span of those before."""
+    gens, got = [], {0}
+    for m in masks:
+        if m not in got:
             gens.append(m)
             got |= {x ^ m for x in got}
+    return gens
+
+
+def _build_subfield(parent: LocalField, span: frozenset) -> Subfield:
+    # independent generating masks for the span, smallest first
+    gens = xor_basis(sorted(span))
     args = tuple(parent.span_class[m][0] for m in gens)
     sub = make_field(parent.p, args)
     images = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FieldTooSmall, InternalInvariant, NotIntegral
 from .padic import (FieldElement, LocalField, legendre, squarefree_part,
@@ -199,10 +200,19 @@ def _vec(m: Matrix2):
     return [m.a, m.b, m.c, m.d]
 
 
-def _coordinate_inverse(basis):
-    """Inverse of the matrix whose columns are the basis matrices, taken
-    once per trivialization."""
-    return inverse(list(zip(*map(_vec, basis))))
+class _BasisCoordinates:
+    """Quaternion coordinates against a trivialization's basis (the images
+    of 1, i, j, k); T is the matrix whose columns are the basis matrices."""
+
+    @cached_property
+    def _to_coords(self):
+        return inverse(list(zip(*map(_vec, self.basis))))
+
+    @cached_property
+    def basis_valuation(self):
+        """v(det T).  The order of every vertex has volume -v(det T) in
+        quaternion coordinates, because conjugation has determinant 1."""
+        return det([_vec(m) for m in self.basis]).valuation()
 
 
 def _matrix_coords(self, X: Matrix2):
@@ -215,7 +225,7 @@ def _check_alg(q: Quaternion, alg: QuaternionAlgebra):
         raise InternalInvariant(f"{q} is not in {alg}")
 
 
-class Trivialization:
+class Trivialization(_BasisCoordinates):
     """An isomorphism of the algebra (over a splitting model field) with the
     2x2 matrices, given by the images of i and j.
 
@@ -242,7 +252,6 @@ class Trivialization:
             raise InternalInvariant("anticommutation fails")
         self.K = I * J
         self.basis = (ident, I, J, self.K)
-        self._to_coords = _coordinate_inverse(self.basis)
         self.cocycle_witness = self._find_witness()
 
     def _find_witness(self) -> Matrix2:
@@ -376,7 +385,7 @@ def q8_trivialization(field: LocalField) -> "_ComposedTrivialization":
     return _ComposedTrivialization(field, inner)
 
 
-class _ComposedTrivialization:
+class _ComposedTrivialization(_BasisCoordinates):
     """Trivialization of (-1,-1) as f o phi with phi: (-1,-1) -> (-2,-3)."""
 
     alg = HAMILTON
@@ -390,7 +399,6 @@ class _ComposedTrivialization:
         self.basis = tuple(inner.image(_phi(q)) for q in (
             quat(HAMILTON, 1), quat(HAMILTON, 0, 1),
             quat(HAMILTON, 0, 0, 1), quat(HAMILTON, 0, 0, 0, 1)))
-        self._to_coords = _coordinate_inverse(self.basis)
 
     def image(self, q: Quaternion) -> Matrix2:
         _check_alg(q, HAMILTON)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CocycleLawViolated, InternalInvariant
 from .padic import (FieldElement, LocalField, Subfield, parity,
-                    rational_image)
+                    rational_image, xor_basis)
 from .bttree import BoundaryPoint, MoebiusMap, Vertex
-from .linalg import det, echelon, inverse
+from .linalg import echelon, inverse
 from .quatalg import Matrix2
 
 
@@ -177,42 +178,83 @@ def sublattice_machinery(sub: Subfield) -> SubfieldLattice:
     return _SUBLATTICE_CACHE[key]
 
 
+class VertexOrder:
+    """What the subfield test needs to know about one vertex, computed at
+    most once however many subfields it is asked about: which Galois
+    elements fix the vertex under the twisted action, and the inverse of
+    its order lattice in quaternion coordinates."""
+
+    def __init__(self, tree: TwistedTree, triv, v: Vertex):
+        self.tree = tree
+        self.triv = triv
+        self.v = v
+        self._fixed = {}
+
+    def fixed_by(self, sigma: int) -> bool:
+        if sigma not in self._fixed:
+            self._fixed[sigma] = self.tree.apply(sigma, self.v) == self.v
+        return self._fixed[sigma]
+
+    def invariant(self, masks) -> bool:
+        """Is v fixed by the group of these Galois masks?  The twisted action
+        is a group action, so generators of the group suffice."""
+        return all(self.fixed_by(s) for s in xor_basis(masks))
+
+    @cached_property
+    def lattice_inverse(self) -> list:
+        """Rows of B^-1, where the columns of B are the quaternion
+        coordinates of End(Lambda_v).  B = T^-1 Ad(M) with T's columns the
+        trivialization basis and M = [[a, t], [1, 0]], so column j of
+        B^-1 = Ad(M^-1) T is M^-1 basis_j M."""
+        f = self.v.field
+        M = Matrix2(self.v.center, f.scale_of_valuation(self.v.level),
+                    f.one, f.zero)
+        Minv = M.inv()
+        cols = [Minv * b * M for b in self.triv.basis]
+        return [[X.a for X in cols], [X.b for X in cols],
+                [X.c for X in cols], [X.d for X in cols]]
+
+    def in_subtree(self, sub: Subfield) -> bool:
+        """Is the vertex a vertex of the twisted subtree of the subfield?
+
+        Criterion: the order of v is spanned over O_L by its E-rational
+        part, equivalently the E-rational sublattice has full volume.  A
+        cheap twisted Galois invariance check filters first.
+        """
+        L = self.tree.field
+        E = sub.field
+        level = self.v.level
+        if (level * L.e).denominator != 1:
+            return False  # midpoints never carry an O_L-order
+        if not self.invariant(sub.fixing_masks()):
+            return False
+        if E.degree == L.degree:
+            return True  # E = L
+        if (level * E.e).denominator != 1:
+            return False  # level not in the subfield's value group
+        mach = sublattice_machinery(sub)
+        # one valuation-bounded E-functional per (matrix row, mhat component)
+        rows = []
+        for binv_row in self.lattice_inverse:
+            parts = [mach.decompose(x) for x in binv_row]
+            for s, mh in enumerate(mach.mhat):
+                bound = -mh.valuation()
+                grid = math.ceil(bound * E.e)  # smallest E-grid point >= bound
+                piE = E.pi_pow(-grid)
+                rows.append([piE * part[s] for part in parts])
+        G = echelon(rows, FieldElement.valuation)
+        if len(G) < 4:
+            return False
+        # the dual lattice {x : <g, x> integral for all g in G} is spanned by
+        # the columns of G^-1.  G is upper triangular with its pivots on the
+        # diagonal, so the dual volume is -sum v(G[k][k]); the order's volume
+        # is v(det B) = -v(det T) at every vertex, as det Ad(M) = 1
+        return (sum(G[k][k].valuation() for k in range(4))
+                == self.triv.basis_valuation)
+
+
 def subfield_vertex_test(tree: TwistedTree, triv, v: Vertex,
                          sub: Subfield) -> bool:
-    """Is v a vertex of the twisted subtree of the subfield?
-
-    Criterion: the order of v is spanned over O_L by its E-rational part,
-    equivalently the E-rational sublattice has full volume.  A cheap twisted
-    Galois invariance check filters first.
-    """
-    L = tree.field
-    if (v.level * L.e).denominator != 1:
-        return False  # midpoints never carry an O_L-order
-    H = sub.fixing_masks()
-    if not tree.invariant(H, v):
-        return False
-    if sub.field.degree == L.degree:
-        return True  # E = L
-    if (v.level * sub.field.e).denominator != 1:
-        return False  # level not in the subfield's value group
-    mach = sublattice_machinery(sub)
-    E = sub.field
-    B = order_lattice_of_vertex(triv, v)
-    # invert the matrix whose columns are the basis vectors
-    Binv = inverse(list(zip(*B)))
-    # one valuation-bounded E-functional per (matrix row, mhat component)
-    rows = []
-    for i in range(4):
-        parts = [mach.decompose(Binv[i][j]) for j in range(4)]
-        for s, mh in enumerate(mach.mhat):
-            bound = -mh.valuation()
-            grid = math.ceil(bound * E.e)  # smallest E-grid point >= bound
-            piE = E.pi_pow(-grid)
-            rows.append([piE * parts[j][s] for j in range(4)])
-    G = echelon(rows, FieldElement.valuation)
-    if len(G) < 4:
-        return False
-    # the dual lattice {x : <g, x> integral for all g in G} is spanned by
-    # the columns of G^-1; compare its volume with the order's over L
-    W_L = [[sub.embed(x) for x in w] for w in zip(*inverse(G))]
-    return det(W_L).valuation() == det(B).valuation()
+    """Is v a vertex of the twisted subtree of the subfield?  To test one
+    vertex against several subfields, build one VertexOrder and ask it."""
+    return VertexOrder(tree, triv, v).in_subtree(sub)

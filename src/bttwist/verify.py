@@ -68,7 +68,7 @@ def check_prop_7_2() -> tuple:
     """Criterion 3: over E*F the count is 6, with 2 over E and the other 4
     over F or F'."""
     from .branch import branch_member
-    from .twisted import subfield_vertex_test
+    from .twisted import VertexOrder
     for x in (-1, 2, 6):
         ctx = counting.make_context("q8", 2, (-3, x))
         rep = counting.count_integral_forms(ctx, (-3, x))
@@ -80,14 +80,12 @@ def check_prop_7_2() -> tuple:
         other = [d for d in (amb.span_class[m][0] for m in range(1, 4))
                  if d not in (-3, x)]
         subF2 = amb.find_subfield((other[0],))
-        e_hits = [v for v in rep.vertices
-                  if subfield_vertex_test(ctx.tree, ctx.triv, v, subE)]
-        if len(e_hits) != 2:
-            return False, f"E-defined {len(e_hits)} != 2"
-        rest = [v for v in rep.vertices if not any(v == w for w in e_hits)]
-        for v in rest:
-            if not (subfield_vertex_test(ctx.tree, ctx.triv, v, subF)
-                    or subfield_vertex_test(ctx.tree, ctx.triv, v, subF2)):
+        orders = [VertexOrder(ctx.tree, ctx.triv, v) for v in rep.vertices]
+        rest = [o for o in orders if not o.in_subtree(subE)]
+        if len(orders) - len(rest) != 2:
+            return False, f"E-defined {len(orders) - len(rest)} != 2"
+        for o in rest:
+            if not (o.in_subtree(subF) or o.in_subtree(subF2)):
                 return False, "a non-E vertex is over neither F nor F'"
     return True, "6 = 2 over E + 4 over F/F' for all three EF fields"
 

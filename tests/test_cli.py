@@ -118,6 +118,27 @@ def test_non_prime_p_is_a_json_error():
     assert json.loads(proc.stderr)["error"] == "NotPrime"
 
 
+@pytest.mark.parametrize("field,error", [
+    ("4:", "NotPrime"),
+    ("2:4", "NotSquareFree"),
+    ("2:17", "SplitPrime"),
+    ("2:1", "NotSquareFree"),
+    ("2:-1,-1", "NotSquareFree"),
+])
+def test_bad_base_field_raises_its_own_error(field, error):
+    # not FieldTooSmall: no extension can repair the base field
+    proc = run_cli("count-local", "--group", "q8", "--field", field,
+                   check=False)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == error
+
+
+def test_global_zero_is_bad_n():
+    proc = run_cli("global", "-N", "0", check=False)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "BadN"
+
+
 def test_vertex_cap_env():
     proc = run_cli("count-local", "--group", "q8", "--field", "2:-3",
                    env_extra={"BTTWIST_VERTEX_CAP": "2"}, check=False)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,45 @@ class TestStructuralProperties:
         rep = counting.q8_counts(2, (-3,))
         assert len(rep.vertex_ids) == rep.count
         assert len(set(rep.vertex_ids)) == rep.count
+
+
+def _carry(x, field):
+    """The image of x in a model of the same field with its generators in
+    another order, under the isomorphism sending each sqrt(d) to sqrt(d)."""
+    src = x.field.sqrt_args
+    pos = [field.sqrt_args.index(d) for d in src]
+    coords = [0] * field.degree
+    for m, c in enumerate(x.coords):
+        coords[sum(1 << pos[i] for i in range(len(src)) if m >> i & 1)] = c
+    return field.el(coords)
+
+
+class TestPermutedSqrtArgs:
+    """Counts and vertex sets do not depend on the order of sqrt_args."""
+
+    @staticmethod
+    def _same_vertices(rep, other):
+        amb = make_field(2, other.ambient_args)
+        carried = [Vertex(_carry(v.center, amb), v.level)
+                   for v in rep.vertices]
+        assert rep.count == other.count
+        assert (rep.e, rep.f) == (other.e, other.f)
+        for v in carried:
+            assert sum(v == w for w in other.vertices) == 1
+
+    def test_full_tower_in_every_order(self):
+        ref = counting.q8_counts(2, (-1, -3, 2))
+        for args in itertools.permutations((-1, -3, 2)):
+            self._same_vertices(ref, counting.q8_counts(2, args))
+
+    def test_subfield_count_in_both_orders(self):
+        # the ambient adds sqrt(-3), so both counts go through the subfield
+        # test, against subfields (-1,2) and (2,-1) of different models
+        ref = counting.q8_counts(2, (-1, 2))
+        other = counting.q8_counts(2, (2, -1))
+        assert ref.ambient_args == (-1, 2, -3)
+        assert other.ambient_args == (2, -1, -3)
+        self._same_vertices(ref, other)
 
 
 class TestTable:

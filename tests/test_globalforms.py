@@ -66,6 +66,10 @@ class TestClassGroups:
             discriminant_of(12)
         with pytest.raises(BadN):
             discriminant_of(-5)
+        with pytest.raises(BadN):
+            discriminant_of(0)
+        with pytest.raises(BadN):
+            serre_existence(0)
 
 
 class TestDyadicClass:
