@@ -1,4 +1,4 @@
-"""Branches: the convex set of maximal orders containing a matrix or family.
+"""Branches: the convex set of maximal orders containing a matrix.
 
 Three independent engines compute branches:
   * a closed form from the classification of the generated quadratic algebra
@@ -20,7 +20,7 @@ from .padic import (INFINITY, FieldElement, LocalField, element_sqrt,
                     make_field, squarefree_part)
 from .bttree import (
     EMPTY, WHOLE, BoundaryEnd, BoundaryPoint, ConvexSubtree, Horoball,
-    MoebiusMap, Vertex, intersect, tube,
+    MoebiusMap, Vertex, tube,
 )
 
 Matrix2 = MoebiusMap  # same data; branch code reads it as a plain matrix
@@ -197,14 +197,6 @@ def branch_member(q: Matrix2, v: Vertex) -> bool:
         if entry.valuation() < 0:
             return False
     return True
-
-
-def branch_of_family(qs, field: LocalField) -> ConvexSubtree:
-    """Intersection of the individual closed-form branches."""
-    out = WHOLE
-    for q in qs:
-        out = intersect(out, branch_closed_form(q, field))
-    return out
 
 
 def unit_fixed_points(q: Matrix2, window) -> list:

@@ -147,12 +147,10 @@ def branch_vertices(images, center: Vertex) -> list:
     return members
 
 
-def count_integral_forms(ctx: CountingContext, e_args: tuple,
-                         initial_radius=None) -> IFReport:
+def count_integral_forms(ctx: CountingContext, e_args: tuple) -> IFReport:
     """Count the group's integral forms over the subfield given by e_args.
 
-    The branch is found from the standard center by `branch_vertices`;
-    initial_radius is accepted for old callers and has no effect.
+    The branch is found from the standard center by `branch_vertices`.
     """
     amb = ctx.ambient
     e_args = tuple(e_args)

@@ -30,6 +30,10 @@ class DivisionByZero(BttwistError):
     pass
 
 
+class NumberTooLarge(BttwistError):
+    """An integer too large to factor by bounded trial division."""
+
+
 # tree geometry
 class NoPeak(BttwistError):
     pass

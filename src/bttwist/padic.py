@@ -18,7 +18,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import (DivisionByZero, InternalInvariant, NotPrime,
-                     NotSquareFree, SplitPrime, ZeroInput)
+                     NotSquareFree, NumberTooLarge, SplitPrime, ZeroInput)
 
 
 class _Infinity:
@@ -72,29 +72,41 @@ def val_min(*vals):
     return m
 
 
-def _factor(n: int) -> dict:
-    n = abs(n)
-    out: dict = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+# Trial divisors stop here; every |n| below 2**63 is settled before it.
+SQUAREFREE_TRIAL_LIMIT = 1 << 21
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
-    """n = d * t^2 with d squarefree; returns (d, t). Sign goes into d."""
+    """n = d * t^2 with d squarefree; returns (d, t). Sign goes into d.
+
+    Trial division runs only while p^3 <= the cofactor m, so m ends as 1, a
+    prime, a prime squared or a product of two distinct primes, and one
+    isqrt tells a square from a squarefree m.  A cofactor that would need a
+    trial divisor past SQUAREFREE_TRIAL_LIMIT raises NumberTooLarge.
+    """
     if n == 0:
         raise ZeroInput("0 has no squarefree part")
-    d, t = 1, 1
-    for p, a in _factor(n).items():
-        if a % 2:
-            d *= p
-        t *= p ** (a // 2)
+    m, d, t = abs(n), 1, 1
+    p = 2
+    while p * p * p <= m:
+        if p > SQUAREFREE_TRIAL_LIMIT:
+            raise NumberTooLarge(
+                f"cannot factor {n}: its cofactor {m} has no prime factor "
+                f"up to {SQUAREFREE_TRIAL_LIMIT}")
+        if m % p == 0:
+            a = 0
+            while m % p == 0:
+                m //= p
+                a += 1
+            if a % 2:
+                d *= p
+            t *= p ** (a // 2)
+        p += 1 if p == 2 else 2
+    r = isqrt(m)
+    if r * r == m:
+        t *= r
+    else:
+        d *= m
     return (d if n > 0 else -d), t
 
 

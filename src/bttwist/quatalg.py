@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import FieldTooSmall, InternalInvariant, NotIntegral
+from .errors import (DivisionByZero, FieldTooSmall, InternalInvariant,
+                     NotIntegral, ZeroInput)
 from .padic import (FieldElement, LocalField, legendre, squarefree_part,
                     vp_frac, vp_int)
 from .bttree import MoebiusMap
@@ -51,7 +52,9 @@ class Quaternion:
     def __mul__(self, o):
         if isinstance(o, (int, Fraction)):
             return Quaternion(self.alg, tuple(p * o for p in self.x))
-        assert self.alg == o.alg
+        if self.alg != o.alg:
+            raise InternalInvariant(
+                f"product of quaternions in {self.alg} and {o.alg}")
         a, b = self.alg.a, self.alg.b
         x0, x1, x2, x3 = self.x
         y0, y1, y2, y3 = o.x
@@ -81,7 +84,8 @@ class Quaternion:
 
     def inv(self) -> "Quaternion":
         n = self.nrd()
-        assert n != 0
+        if n == 0:
+            raise DivisionByZero(f"{self!r} has reduced norm 0")
         return self.conj() / n
 
     def __eq__(self, o):
@@ -155,7 +159,8 @@ def maxorder_generators(pi: int, delta: int):
 def hilbert_symbol(a: Fraction, b: Fraction, p: int) -> int:
     """(a, b)_p for nonzero rationals at a finite prime."""
     a, b = Fraction(a), Fraction(b)
-    assert a != 0 and b != 0
+    if a == 0 or b == 0:
+        raise ZeroInput(f"Hilbert symbol of ({a}, {b}) at {p}")
 
     def split(x):
         v = vp_int(x.numerator, p) - vp_int(x.denominator, p)

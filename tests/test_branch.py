@@ -7,11 +7,12 @@ import pytest
 from bttwist.errors import InternalInvariant, NeedsExtension, NotAUnit
 from bttwist.padic import make_field
 from bttwist.bttree import (BoundaryPoint, Horoball, Tube, Vertex, Window,
-                            distance, intersect, line, tubular)
+                            distance, line, tubular)
 from bttwist.branch import (Matrix2, branch_closed_form, branch_member,
-                            branch_of_family, branch_with_extension, classify,
-                            lift_element, mat, sample_integral_matrix, trace,
-                            try_sqrt, unit_fixed_points)
+                            branch_with_extension, classify, lift_element,
+                            mat, sample_integral_matrix, trace, try_sqrt,
+                            unit_fixed_points)
+from convex_oracle import branch_of_family
 
 Q2 = make_field(2, ())
 OMEGA = make_field(2, (-1, -3, 2))

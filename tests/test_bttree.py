@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from bttwist.errors import NoPeak, WindowTooLarge
+from bttwist.errors import InternalInvariant, NoPeak, WindowTooLarge
 from bttwist.padic import make_field
-from bttwist.bttree import (BoundaryPoint, Meet, MoebiusMap,
+from bttwist.bttree import (BoundaryPoint, MoebiusMap,
                             Vertex, VertexEnd, Window, ball, distance,
-                            e_vertex_test_untwisted, emit_dot, intersect,
-                            lattice_of_vertex, line, neighbors, peak,
+                            e_vertex_test_untwisted, emit_dot,
+                            lattice_of_vertex, line, neighbors,
                             same_type, standard_horoball, tube, tubular)
+from convex_oracle import Meet, intersect, peak
 
 from helpers import contains_set, path_vertices, rand_convex, \
     rand_moebius, rand_vertex
@@ -190,6 +191,29 @@ class TestConvexSets:
             vg = Vertex(v.center.conj(1), v.level)
             assert T.contains(v) == T.contains(vg)
             assert H.contains(v) == H.contains(vg)
+
+
+class TestTypedErrors:
+    def test_negative_tube_width(self):
+        from bttwist.bttree import NEG_INFINITY, Tube
+        from bttwist.padic import INFINITY
+        with pytest.raises(InternalInvariant):
+            Tube(Q2, BoundaryPoint(Q2.zero), BoundaryPoint.infinity(),
+                 NEG_INFINITY, INFINITY, -1)
+
+    def test_axis_coord_off_the_carrier(self):
+        T = line(Q2, Q2.zero, BoundaryPoint.infinity(), 0)
+        assert T.axis_coord(B(Q2, 0, 2)) == 2
+        with pytest.raises(InternalInvariant):
+            T.axis_coord(B(Q2, 1, 2))
+
+    def test_coincident_boundary_ends(self):
+        with pytest.raises(InternalInvariant):
+            line(Q2, Q2.one, Q2.one)
+
+    def test_negative_tubular_radius(self):
+        with pytest.raises(InternalInvariant):
+            tubular(standard_horoball(Q2, 0), -1)
 
 
 class TestIntersection:

@@ -5,12 +5,14 @@ import sys
 
 import pytest
 
-def run_cli(*args, env_extra=None, check=True, python_flags=()):
+def run_cli(*args, env_extra=None, check=True, python_flags=(),
+            timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     cmd = [sys.executable, *python_flags, "-m", "bttwist.cli", *args]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          timeout=timeout)
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
@@ -137,6 +139,23 @@ def test_global_zero_is_bad_n():
     proc = run_cli("global", "-N", "0", check=False)
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == "BadN"
+
+
+def test_branch_over_a_large_semiprime_returns():
+    # regression: squarefree_part trial-divided the discriminant up to its
+    # square root, and this command did not return
+    n = 998244353 * 1000000007
+    proc = run_cli("branch", "--field", "2:", "--matrix", f"0,{n};1,0",
+                   "--radius", "1", timeout=20)
+    assert json.loads(proc.stdout)["ambient_sqrt_args"] == [n]
+
+
+def test_unfactorable_discriminant_is_a_typed_error():
+    n = 1000000007 * 1000000009 * 1000000021
+    proc = run_cli("branch", "--field", "2:", "--matrix", f"0,{n};1,0",
+                   "--radius", "1", check=False, timeout=20)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "NumberTooLarge"
 
 
 def test_vertex_cap_env():

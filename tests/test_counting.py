@@ -116,8 +116,7 @@ class TestStructuralProperties:
 
     def test_window_grows_from_tiny_start(self):
         ctx = counting.make_context("q8", 2, (-3,))
-        rep = counting.count_integral_forms(ctx, (-3,),
-                                            initial_radius=Fraction(1, 2))
+        rep = counting.count_integral_forms(ctx, (-3,))
         assert rep.count == 2
 
     def test_window_insufficient_at_cap(self):

@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bttwist.errors import (InternalInvariant, NotSquareFree, SplitPrime,
-                            ZeroInput)
-from bttwist.padic import (INFINITY, _int_sqrt, element_sqrt, make_field,
-                           parity, quad_ext_type, squarefree_part)
+from bttwist.errors import (InternalInvariant, NotSquareFree, NumberTooLarge,
+                            SplitPrime, ZeroInput)
+from bttwist.padic import (INFINITY, SQUAREFREE_TRIAL_LIMIT, _int_sqrt,
+                           element_sqrt, make_field, parity, quad_ext_type,
+                           squarefree_part)
+
+import squarefree_oracle
 
 Q2 = make_field(2, ())
 OMEGA = make_field(2, (-1, -3, 2))
@@ -262,6 +265,37 @@ def test_squarefree_part():
     assert squarefree_part(12) == (3, 2)
     assert squarefree_part(-18) == (-2, 3)
     assert squarefree_part(1) == (1, 1)
+
+
+# a * b^2 * c with small primes, prime squares and two-prime cofactors
+_SQUARE_MIXES = st.builds(lambda a, b, c: a * b * b * c,
+                          st.integers(-3000, 3000).filter(bool),
+                          st.integers(1, 40000), st.integers(1, 3000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-10 ** 9, 10 ** 9).filter(bool), _SQUARE_MIXES))
+def test_squarefree_part_matches_full_trial_division(n):
+    assert squarefree_part(n) == squarefree_oracle.squarefree_part(n)
+
+
+def test_squarefree_part_of_large_cofactors():
+    # the cofactor left after trial division up to its cube root
+    p, q = 998244353, 1000000007
+    assert squarefree_part(p * q) == (p * q, 1)
+    assert squarefree_part(-4 * p * q) == (-p * q, 2)
+    assert squarefree_part(7 * p * p) == (7, p)
+    m31 = 2 ** 31 - 1
+    assert squarefree_part(m31 * m31) == (1, m31)
+    assert squarefree_part(2 ** 63 - 25) == (2 ** 63 - 25, 1)  # prime
+
+
+def test_squarefree_part_past_the_trial_bound_is_typed():
+    assert SQUAREFREE_TRIAL_LIMIT ** 3 == 2 ** 63
+    with pytest.raises(NumberTooLarge):
+        squarefree_part((2 ** 31 - 1) * (2 ** 61 - 1))
+    # small factors come out first, so only the cofactor counts
+    assert squarefree_part(3 ** 90) == (1, 3 ** 45)
 
 
 def test_quad_ext_type():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bttwist.bttree import MoebiusMap
-from bttwist.errors import FieldTooSmall, InternalInvariant, NotIntegral
+from bttwist.errors import (DivisionByZero, FieldTooSmall, InternalInvariant,
+                            NotIntegral, ZeroInput)
 from bttwist.padic import make_field
 from bttwist.quatalg import (DICYCLIC_ALG, HAMILTON, Quaternion,
                              QuaternionAlgebra, Trivialization,
@@ -217,3 +218,21 @@ class TestOrderClosure:
         assert bad.nrd() == Fraction(1, 2)
         with pytest.raises(NotIntegral):
             order_closure(HAMILTON, [bad, U], 2)
+
+
+class TestTypedErrors:
+    def test_product_across_algebras(self):
+        with pytest.raises(InternalInvariant):
+            U * quat(DICYCLIC_ALG, 0, 1, 0, 0)
+
+    def test_inverse_of_a_zero_norm_element(self):
+        with pytest.raises(DivisionByZero):
+            quat(HAMILTON, 0).inv()
+        split = QuaternionAlgebra(Fraction(1), Fraction(-1))
+        with pytest.raises(DivisionByZero):
+            quat(split, 1, 1, 0, 0).inv()  # nrd = 1 - a = 0
+
+    @pytest.mark.parametrize("a,b", [(0, 1), (3, 0)])
+    def test_hilbert_symbol_of_zero(self, a, b):
+        with pytest.raises(ZeroInput):
+            hilbert_symbol(a, b, 2)
