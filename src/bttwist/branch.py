@@ -11,8 +11,6 @@ They are cross-checked against each other in the test suite.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariant, NeedsExtension, NotAUnit
@@ -34,11 +32,23 @@ def trace(q: Matrix2) -> FieldElement:
     return q.a + q.d
 
 
-@dataclass
 class QuadClass:
-    kind: str  # scalar | nonetale | etale_split | etale_field
-    eigenvalues: tuple = None  # for etale_split
-    ramified: bool = None  # for etale_field
+    """The kind of the quadratic algebra a matrix generates; equal by its
+    three fields."""
+
+    __slots__ = ("kind", "eigenvalues", "ramified")
+
+    def __init__(self, kind: str, eigenvalues: tuple = None,
+                 ramified: bool = None):
+        self.kind = kind  # scalar | nonetale | etale_split | etale_field
+        self.eigenvalues = eigenvalues  # for etale_split
+        self.ramified = ramified  # for etale_field
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.eigenvalues, self.ramified)
+                == (other.kind, other.eigenvalues, other.ramified))
 
     def __repr__(self):
         if self.kind == "etale_split":
@@ -219,8 +229,9 @@ def can_extend(field: LocalField, d: int) -> bool:
         return False
 
 
-def sample_integral_matrix(field: LocalField, rng: random.Random) -> Matrix2:
-    """A random integral matrix whose splitting data stays inside the model.
+def sample_integral_matrix(field: LocalField, rng) -> Matrix2:
+    """A random integral matrix, drawn with rng (a `random.Random`), whose
+    splitting data stays inside the model.
 
     Built as g * core * g^-1 with core scalar, nilpotent-bearing, split
     diagonal, or a companion matrix with rational discriminant whose square

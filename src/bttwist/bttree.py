@@ -488,9 +488,6 @@ class Tube(ConvexSubtree):
         return Tube(self.field, self.xi1, self.xi2, self.lo, self.hi,
                     self.width + Fraction(w))
 
-    def is_ball(self) -> bool:
-        return self.lo == self.hi
-
     def __repr__(self):
         return (f"Tube({self.end_a!r} .. {self.end_b!r}, width={self.width}, "
                 f"levels=[{self.lo},{self.hi}])")

@@ -12,7 +12,6 @@ a flood fill through members finds the rest.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import (FieldTooSmall, InternalInvariant,
@@ -28,23 +27,39 @@ from .twisted import (TwistedTree, VertexOrder, standard_cocycle,
                       subfield_vertex_test)
 
 
-@dataclass
 class IFReport:
-    group: str
-    subfield_args: tuple
-    ambient_args: tuple
-    e: int
-    f: int
-    count: int
-    vertices: list
-    vertex_ids: list = dc_field(default_factory=list)
+    """A count of integral forms with its vertices; equal by its fields."""
 
-    def __post_init__(self):
-        if not self.vertex_ids:
-            self.vertex_ids = [v.key() for v in self.vertices]
-        if self.count != len(self.vertices):
+    __slots__ = ("group", "subfield_args", "ambient_args", "e", "f", "count",
+                 "vertices", "vertex_ids")
+
+    def __init__(self, group: str, subfield_args: tuple, ambient_args: tuple,
+                 e: int, f: int, count: int, vertices: list,
+                 vertex_ids: list = None):
+        if count != len(vertices):
             raise InternalInvariant(
-                f"count {self.count} != {len(self.vertices)} vertices")
+                f"count {count} != {len(vertices)} vertices")
+        self.group = group
+        self.subfield_args = subfield_args
+        self.ambient_args = ambient_args
+        self.e = e
+        self.f = f
+        self.count = count
+        self.vertices = vertices
+        self.vertex_ids = vertex_ids or [v.key() for v in vertices]
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "IFReport(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._fields())) + ")"
 
 
 class CountingContext:
@@ -129,6 +144,11 @@ def branch_vertices(images, center: Vertex) -> list:
     searches outward to the nearest member and then flood-fills from it
     through members only.  Every vertex tested counts against the vertex
     cap; passing it raises WindowInsufficient."""
+    # a matrix lies in some maximal order iff its trace and determinant are
+    # integral, so a non-integral image has no branch to search for
+    if any((m.a + m.d).valuation() < 0 or m.det().valuation() < 0
+           for m in images):
+        return []
     cap, tested = vertex_cap(), 0
     members, queue = [], deque([(center, None)])
     while queue:
@@ -158,7 +178,7 @@ def count_integral_forms(ctx: CountingContext, e_args: tuple) -> IFReport:
     wanted = {squarefree_part(int(d))[0] for d in e_args}
     if wanted and not wanted.issubset(span_args):
         raise ValueError(f"{e_args} does not embed in the ambient {amb}")
-    whole = wanted and _span_of(wanted) == span_args
+    whole = _span_of(wanted) == span_args
     sub = None if whole else amb.find_subfield(e_args)
     center_level = Fraction(-1, 2) if amb.e % 2 == 0 else Fraction(0)
     members = branch_vertices(ctx.images, Vertex(amb.zero, center_level))

@@ -10,21 +10,39 @@ representation at the dyadic completion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (BadN, DyadicSplit, ExistenceFails, ExistenceUnknown,
-                     InvalidRepresentation, WrongResidue)
+                     InternalInvariant, InvalidRepresentation, WrongResidue)
 from .padic import make_field, squarefree_part
 from .bttree import MoebiusMap, Vertex, distance
 from .enumerate import branch_vertices
 
 
-@dataclass(frozen=True)
 class QuadForm:
-    a: int
-    b: int
-    c: int
+    """The binary form a x^2 + b x y + c y^2.  Immutable; equal and hashed
+    by (a, b, c)."""
+
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c))
 
     @property
     def D(self) -> int:
@@ -60,7 +78,8 @@ class QuadForm:
                 continue
             break
         f = QuadForm(a, b, c)
-        assert f.is_reduced() and f.D == self.D
+        if not (f.is_reduced() and f.D == self.D):
+            raise InternalInvariant(f"reducing {self!r} gave {f!r}")
         return f
 
     def inverse(self) -> "QuadForm":
@@ -68,7 +87,9 @@ class QuadForm:
 
     def transform(self, x, r, y, s) -> "QuadForm":
         """Substitute by the unimodular matrix [[x, r], [y, s]]."""
-        assert x * s - r * y == 1
+        if x * s - r * y != 1:
+            raise InternalInvariant(
+                f"[[{x}, {r}], [{y}, {s}]] is not unimodular")
         a = self.value(x, y)
         c = self.value(r, s)
         b = 2 * (self.a * x * r + self.c * y * s) + self.b * (x * s + r * y)
@@ -98,7 +119,8 @@ def _coprime_representative(f: QuadForm, m: int) -> QuadForm:
                     gg, u, v = _xgcd(x, y)
                     if gg < 0:
                         gg, u, v = -gg, -u, -v
-                    assert gg == 1
+                    if gg != 1:
+                        raise InternalInvariant(f"gcd({x}, {y}) = {gg}")
                     # complete (x, y) to [[x, -v], [y, u]]: x*u - (-v)*y = 1
                     return f.transform(x, -v, y, u)
         bound *= 2
@@ -119,7 +141,9 @@ def _xgcd(a: int, b: int):
 
 def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     """Gauss composition via concordant forms."""
-    assert f1.D == f2.D
+    if f1.D != f2.D:
+        raise InternalInvariant(
+            f"composing {f1!r} and {f2!r} of discriminants {f1.D}, {f2.D}")
     D = f1.D
     f2 = _coprime_representative(f2, f1.a)
     a1, b1 = f1.a, f1.b
@@ -128,18 +152,22 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     t = ((b2 - b1) // 2 * pow(a1, -1, a2)) % a2
     B = b1 + 2 * a1 * t
     C = (B * B - D) // (4 * a1 * a2)
-    assert (B * B - D) % (4 * a1 * a2) == 0
+    if (B * B - D) % (4 * a1 * a2):
+        raise InternalInvariant(
+            f"B = {B} gives no integral C composing {f1!r} and {f2!r}")
     return QuadForm(a1 * a2, B, C).reduce()
 
 
 def reduced_forms(D: int) -> list:
     """All reduced positive-definite forms of discriminant D < 0."""
-    assert D < 0 and D % 4 in (0, 1)
+    if not (D < 0 and D % 4 in (0, 1)):
+        raise InternalInvariant(f"{D} is not a negative discriminant")
     out = []
     b = D % 2
     while b * b <= -D // 3:
         m4 = b * b - D
-        assert m4 % 4 == 0
+        if m4 % 4:
+            raise InternalInvariant(f"b = {b} has the wrong parity for {D}")
         m = m4 // 4
         a = max(b, 1)
         while a * a <= m:
@@ -167,7 +195,9 @@ class ClassGroup:
         self.D = discriminant_of(N)
         self.elements = reduced_forms(self.D)
         self.identity = principal_form(self.D).reduce()
-        assert self.identity in self.elements
+        if self.identity not in self.elements:
+            raise InternalInvariant(
+                f"principal form {self.identity!r} is not reduced")
         self.h = len(self.elements)
         idx = {f: i for i, f in enumerate(self.elements)}
         self.table = [
@@ -179,14 +209,20 @@ class ClassGroup:
         e = idx[self.identity]
         n = self.h
         for i in range(n):
-            assert self.table[i][e] == i and self.table[e][i] == i
-            assert any(self.table[i][j] == e for j in range(n)), "no inverse"
+            if not (self.table[i][e] == i and self.table[e][i] == i):
+                raise InternalInvariant(
+                    f"{self.elements[i]!r} is moved by the identity")
+            if not any(self.table[i][j] == e for j in range(n)):
+                raise InternalInvariant(f"{self.elements[i]!r} has no inverse")
         if n <= 24:
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
-                        assert (self.table[self.table[i][j]][k]
-                                == self.table[i][self.table[j][k]])
+                        if (self.table[self.table[i][j]][k]
+                                != self.table[i][self.table[j][k]]):
+                            raise InternalInvariant(
+                                f"composition is not associative at "
+                                f"{i}, {j}, {k}")
 
     def mul(self, f: QuadForm, g: QuadForm) -> QuadForm:
         return compose(f, g)
@@ -237,7 +273,8 @@ def _prime_divisors(n: int) -> list:
 
 def h2(C: ClassGroup) -> int:
     val = C.h2()
-    assert val == genus_number(C.N), "table 2-torsion disagrees with genus theory"
+    if val != genus_number(C.N):
+        raise InternalInvariant("table 2-torsion disagrees with genus theory")
     return val
 
 
@@ -253,7 +290,8 @@ def dyadic_class_square(N: int, C: ClassGroup = None) -> bool:
         p2 = QuadForm(2, 0, N // 2).reduce()
     else:
         p2 = QuadForm(2, 2, (N + 1) // 2).reduce()
-    assert p2.D == D
+    if p2.D != D:
+        raise InternalInvariant(f"dyadic form {p2!r} is not of disc. {D}")
     return p2 in C.squares()
 
 

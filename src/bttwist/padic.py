@@ -12,7 +12,6 @@ lattice live here; everything downstream consumes them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -289,10 +288,9 @@ class LocalField:
             raise ZeroInput("0 has no squarefree part")
         for mask in range(self.degree):
             md, mt = self.span_class[mask]
-            r = n / md
-            num, den = _int_sqrt(r.numerator), _int_sqrt(r.denominator)
-            if num is not None and den is not None:
-                return self.monomial(mask, Fraction(num, den * mt))
+            root = rational_sqrt(n / md)
+            if root is not None:
+                return self.monomial(mask, root / mt)
         raise ValueError(f"sqrt({n}) not in {self}")
 
     # -- arithmetic kernels -----------------------------------------------
@@ -820,15 +818,44 @@ def _int_sqrt(n: int):
     return r if r * r == n else None
 
 
-@dataclass(frozen=True)
-class Subfield:
-    """A subfield of a LocalField: its own model plus the embedding data."""
+def rational_sqrt(r: Fraction):
+    """The nonnegative square root of a rational, or None if it has none."""
+    num, den = _int_sqrt(r.numerator), _int_sqrt(r.denominator)
+    if num is None or den is None:
+        return None
+    return Fraction(num, den)
 
-    parent: LocalField
-    field: LocalField
-    span: frozenset
-    # per subfield monomial: (parent mask, rational coefficient)
-    monomial_images: tuple
+
+class Subfield:
+    """A subfield of a LocalField: its own model plus the embedding data.
+    Immutable; equal and hashed by its four fields."""
+
+    __slots__ = ("parent", "field", "span", "monomial_images")
+
+    def __init__(self, parent: LocalField, field: LocalField, span: frozenset,
+                 monomial_images: tuple):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "span", span)
+        # per subfield monomial: (parent mask, rational coefficient)
+        object.__setattr__(self, "monomial_images", monomial_images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def _fields(self):
+        return (self.parent, self.field, self.span, self.monomial_images)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def embed(self, x: FieldElement) -> FieldElement:
         if x.field is not self.field:

@@ -8,26 +8,42 @@ the reduced discriminant against the Hilbert symbol of the algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (DivisionByZero, FieldTooSmall, InternalInvariant,
                      NotIntegral, ZeroInput)
-from .padic import (FieldElement, LocalField, legendre, squarefree_part,
-                    vp_frac, vp_int)
+from .padic import (FieldElement, LocalField, legendre, rational_sqrt,
+                    squarefree_part, vp_frac, vp_int)
 from .bttree import MoebiusMap
 from .linalg import det, echelon, inverse, mat_vec
 
 Matrix2 = MoebiusMap
 
 
-@dataclass(frozen=True)
 class QuaternionAlgebra:
-    """(a, b / Q): parameters are rationals; scalars live in any model."""
+    """(a, b / Q): parameters are rationals; scalars live in any model.
+    Immutable; equal and hashed by (a, b)."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     def __repr__(self):
         return f"({self.a},{self.b})"
@@ -309,9 +325,9 @@ def _mat_eq(m1: Matrix2, m2: Matrix2) -> bool:
 
 def _flip_mask(field: LocalField, d: int) -> int:
     """A Galois mask flipping sqrt(d): exactly the lowest generator
-    occurring in its monomial."""
+    occurring in its monomial (0, the identity, for d = 1)."""
     m = field.mask_of(d)
-    if not m:
+    if m is None:
         raise ValueError(f"sqrt({d}) not in {field}")
     return m & -m
 
@@ -330,63 +346,90 @@ def standard_trivialization(alg: QuaternionAlgebra, field: LocalField,
     return Trivialization(alg, field, I, J, flip_d)
 
 
+# the search grid: x1 and y1 range over these rationals, in this order
+_SMALL = [Fraction(n, m) for m in (1, 2, 3, 6) for n in range(-6, 7)]
+# the first position of each value in the grid, which decides which of
+# +-y1 a grid walk would meet first; the keys are the distinct rows in order
+_RANK = {}
+for _i, _v in enumerate(_SMALL):
+    _RANK.setdefault(_v, _i)
+_ROWS = [(x1, x1 * x1) for x1 in _RANK]
+
+
+def _first_grid_solution(c, b, den):
+    """The first (x1, y1) of the grid, rows in order, with
+    c x1^2 - den y1^2 = b: each row fixes y1^2, so it costs one square
+    test, and of +-y1 the one earlier in the grid wins."""
+    for x1, sq in _ROWS:
+        y1 = rational_sqrt((c * sq - b) / den)
+        if y1 is None:
+            continue
+        hits = [y for y in (y1, -y1) if y in _RANK]
+        if hits:
+            return x1, min(hits, key=_RANK.__getitem__)
+    return None
+
+
 def find_trivialization(alg: QuaternionAlgebra,
                         field: LocalField) -> Trivialization:
     """Search for a standard trivialization over the given model field.
 
     Solves x^2 - a y^2 = b with x, y rational or pure multiples of a square
-    root available in the model, over a small rational grid."""
+    root available in the model, x1 and y1 (the rational parts) on the
+    grid `_SMALL`.  The first solution in grid order wins, shape by shape:
+    rational, then J diagonal, then for each square class d of the model
+    x pure, y pure, and both pure."""
+    a, b = alg.a, alg.b
+    if a == 0:
+        raise ZeroInput(f"{alg} has a = 0")
     ds = [field.span_class[m][0] for m in range(1, field.degree)]
-    small = [Fraction(n, m) for m in (1, 2, 3, 6) for n in range(-6, 7)]
     # fully rational solutions first: the trivialization is then defined over
-    # the base and the induced cocycle is trivial
-    for x1 in small:
-        for y1 in small:
-            if x1 * x1 - alg.a * y1 * y1 == alg.b:
-                return standard_trivialization(
-                    alg, field, ds[0], field.from_rational(x1),
-                    field.from_rational(y1))
+    # the base and the induced cocycle is trivial (flip_d = 1 over the base
+    # field itself, where no Galois element acts)
+    hit = _first_grid_solution(1, b, a)
+    if hit:
+        x1, y1 = hit
+        return standard_trivialization(
+            alg, field, ds[0] if ds else 1, field.from_rational(x1),
+            field.from_rational(y1))
     # canonical diagonal shape next: J = diag(sqrt b, -sqrt b) when possible,
     # which keeps division-order branches on the standard line(0, inf)
     try:
-        root_b = field.sqrt_of(alg.b)
-        from .padic import squarefree_part
-        d_b = squarefree_part(Fraction(alg.b).numerator *
-                              Fraction(alg.b).denominator)[0]
+        root_b = field.sqrt_of(b)
+        d_b = squarefree_part(b.numerator * b.denominator)[0]
         if d_b != 1:
             return standard_trivialization(alg, field, d_b, root_b, field.zero)
     except ValueError:
         pass
-    shapes = []
     for d in ds:
-        shapes.append(("pure_rat", d))   # x = x1 sqrt(d), y rational
-        shapes.append(("rat_pure", d))   # x rational, y = y1 sqrt(d)
-        shapes.append(("pure_pure", d))  # both pure
-    for shape, d in shapes:
         root = field.sqrt_of(d)
-        for x1 in small:
-            for y1 in small:
-                if shape == "pure_rat":
-                    ok = d * x1 * x1 - alg.a * y1 * y1 == alg.b
-                    x, y = root * x1, field.from_rational(y1)
-                elif shape == "rat_pure":
-                    ok = x1 * x1 - alg.a * d * y1 * y1 == alg.b
-                    x, y = field.from_rational(x1), root * y1
-                else:
-                    ok = d * (x1 * x1 - alg.a * y1 * y1) == alg.b
-                    x, y = root * x1, root * y1
-                if ok:
-                    return standard_trivialization(alg, field, d, x, y)
+        # x = x1 sqrt(d) and y rational; x rational and y = y1 sqrt(d); both
+        # pure: d x1^2 - a y1^2 = b, x1^2 - a d y1^2 = b, d (x1^2 - a y1^2) = b
+        for c, den, x_pure, y_pure in ((d, a, True, False),
+                                       (1, a * d, False, True),
+                                       (d, a * d, True, True)):
+            hit = _first_grid_solution(c, b, den)
+            if hit:
+                x1, y1 = hit
+                x = root * x1 if x_pure else field.from_rational(x1)
+                y = root * y1 if y_pure else field.from_rational(y1)
+                return standard_trivialization(alg, field, d, x, y)
     raise FieldTooSmall(f"no trivialization of {alg} over {field}")
+
+
+# the isomorphism phi: (-1,-1) -> (-2,-3), as the images of 1, u, v, uv
+_PHI_ALG = QuaternionAlgebra(Fraction(-2), Fraction(-3))
+_U_IMG = quat(_PHI_ALG, 0, Fraction(1, 2), Fraction(1, 3), Fraction(-1, 6))
+_V_IMG = quat(_PHI_ALG, 0, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 6))
+_PHI_BASIS = (quat(_PHI_ALG, 1), _U_IMG, _V_IMG, _U_IMG * _V_IMG)
 
 
 def q8_trivialization(field: LocalField) -> "_ComposedTrivialization":
     """The dyadic trivialization of (-1,-1) through (-2,-3), over a model
     containing sqrt(-3); the group images are the classical matrices with
     entries in Q(omega)."""
-    phi_alg = QuaternionAlgebra(Fraction(-2), Fraction(-3))
     s = field.sqrt_of(-3)
-    inner = standard_trivialization(phi_alg, field, -3, s, field.zero)
+    inner = standard_trivialization(_PHI_ALG, field, -3, s, field.zero)
     return _ComposedTrivialization(field, inner)
 
 
@@ -401,9 +444,7 @@ class _ComposedTrivialization(_BasisCoordinates):
         self.flip_d = inner.flip_d
         self.I = inner.I
         self.cocycle_witness = inner.I  # the image of the (-2,-3) i
-        self.basis = tuple(inner.image(_phi(q)) for q in (
-            quat(HAMILTON, 1), quat(HAMILTON, 0, 1),
-            quat(HAMILTON, 0, 0, 1), quat(HAMILTON, 0, 0, 0, 1)))
+        self.basis = tuple(inner.image(q) for q in _PHI_BASIS)
 
     def image(self, q: Quaternion) -> Matrix2:
         _check_alg(q, HAMILTON)
@@ -415,13 +456,8 @@ class _ComposedTrivialization(_BasisCoordinates):
 def _phi(q: Quaternion) -> Quaternion:
     """The isomorphism (-1,-1) -> (-2,-3): u, v map to combinations of the
     target generators; extended linearly on the basis 1, u, v, uv."""
-    alg2 = QuaternionAlgebra(Fraction(-2), Fraction(-3))
-    u_img = quat(alg2, 0, Fraction(1, 2), Fraction(1, 3), Fraction(-1, 6))
-    v_img = quat(alg2, 0, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 6))
-    one = quat(alg2, 1)
-    uv_img = u_img * v_img
-    out = quat(alg2, 0)
-    for c, base in zip(q.x, (one, u_img, v_img, uv_img)):
+    out = quat(_PHI_ALG, 0)
+    for c, base in zip(q.x, _PHI_BASIS):
         out = out + base * c
     return out
 

@@ -49,13 +49,14 @@ def trivial_cocycle(field: LocalField) -> Cocycle:
 
 def standard_cocycle(field: LocalField, flip_d: int,
                      witness: MoebiusMap) -> Cocycle:
-    """a_sigma = witness for every sigma flipping sqrt(flip_d), else id.
+    """a_sigma = witness for every sigma flipping sqrt(flip_d), else id
+    (so id throughout for flip_d = 1).
 
     With the division-algebra presentation (pi, Delta) and the trivialization
     i -> [[0,1],[pi,0]], j -> diag(sqrt Delta, -sqrt Delta), the witness is
     the i-image; general trivializations supply their own witness."""
     mask = field.mask_of(flip_d)
-    if not mask:
+    if mask is None:
         raise ValueError(f"sqrt({flip_d}) not in {field}")
     ident = MoebiusMap.identity(field)
     maps = {s: witness if parity(s & mask) else ident

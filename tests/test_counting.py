@@ -8,6 +8,7 @@ from bttwist.errors import (FieldTooSmall, InternalInvariant,
 from bttwist.padic import make_field
 from bttwist.bttree import Vertex, distance
 from bttwist import enumerate as counting
+from bttwist.quatalg import maxorder_generators, order_closure
 from bttwist.twisted import subfield_vertex_test
 
 
@@ -66,6 +67,21 @@ class TestMaxOrder:
             assert want == rep.e + 1
         else:
             assert want == 1
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_split_algebra_over_the_base_field(self, p):
+        # (-1,2) has the rational solution 1 - (-1) 1 = 2, so Q_p itself is
+        # the ambient; a maximal order of the split algebra is one vertex
+        alg, gens = maxorder_generators(-1, 2)
+        assert order_closure(alg, gens, p)[1]
+        rep = counting.maximal_order_forms(p, (), pi=-1, delta=2)
+        assert rep.ambient_args == () and rep.count == 1
+
+    def test_non_integral_generators_have_no_forms(self, monkeypatch):
+        # (j - 1)/2 has reduced norm -1/4 in (-1,2), so at 2 no maximal order
+        # contains it; the walk used to run to the vertex cap instead
+        monkeypatch.setenv("BTTWIST_VERTEX_CAP", "30")
+        assert counting.maximal_order_forms(2, (), pi=-1, delta=2).count == 0
 
 
 class TestHurwitzDicyclic:

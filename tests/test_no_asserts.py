@@ -4,9 +4,6 @@
 answer must raise a typed `BttwistError` (usually `InternalInvariant`).
 This test parses every module and fails on an `assert` statement or a
 `raise AssertionError`.
-
-`globalforms.py` is exempt for now: its remaining asserts are still to be
-converted, and the exemption goes when they are.
 """
 
 import ast
@@ -15,8 +12,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bttwist"
-EXEMPT = {"globalforms.py"}
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in EXEMPT)
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _asserts(source):
