@@ -199,9 +199,10 @@ def branch_member(q: Matrix2, v: Vertex) -> bool:
     f = v.field
     a = v.center
     t = f.scale_of_valuation(v.level)
+    t_inv = f.scale_of_valuation(-v.level)  # cached, like t
     e11 = q.c * a + q.d
     e12 = q.c * t
-    e21 = (q.b + (q.a - q.d) * a - q.c * a * a) / t
+    e21 = (q.b + (q.a - q.d) * a - q.c * a * a) * t_inv
     e22 = q.a - a * q.c
     for entry in (e11, e12, e21, e22):
         if entry.valuation() < 0:

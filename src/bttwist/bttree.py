@@ -334,8 +334,9 @@ class MoebiusMap:
         if val_min(u2.valuation()) > w2.valuation():
             u1, u2, w1, w2 = w1, w2, u1, u2
         # now nu(u2) <= nu(w2), in particular u2 != 0
-        w1 = w1 - (w2 / u2) * u1
-        center = u1 / u2
+        u2_inv = u2.inv()
+        w1 = w1 - w2 * u2_inv * u1
+        center = u1 * u2_inv
         lvl = w1.valuation() - u2.valuation()
         return Vertex(center, lvl)
 

@@ -223,6 +223,9 @@ class LocalField:
         ) else 1
         self.e = self.degree // self.f
         self.q = p ** self.f
+        # the squares of the first two generators, for the written-out
+        # products of length 2 and 4
+        self._d0, self._d1 = (self.sqrt_args + (0, 0))[:2]
         # monomial multiplication: m_S * m_T = _mult[S][T] * m_{S xor T}
         self._mult = []
         for s in range(self.degree):
@@ -298,8 +301,26 @@ class LocalField:
     def _mul(self, a, b):
         """Product of two integer vectors of one length n, elements of the
         subfield whose monomials are the first n masks (n = self.degree for
-        the whole field): one table serves every stage of the tower."""
-        out = [0] * len(a)
+        the whole field), as a tuple.  Lengths 1, 2 and 4, the subfields on
+        the first zero, one and two generators where nearly all products of
+        the tower fall, are written out over monomials 1, sqrt(d0), sqrt(d1)
+        and sqrt(d0 d1); longer vectors walk the monomial table."""
+        n = len(a)
+        if n == 1:
+            return (a[0] * b[0],)
+        if n == 2:
+            a0, a1 = a
+            b0, b1 = b
+            return (a0 * b0 + self._d0 * a1 * b1, a0 * b1 + a1 * b0)
+        if n == 4:
+            d0, d1 = self._d0, self._d1
+            a0, a1, a2, a3 = a
+            b0, b1, b2, b3 = b
+            return (a0 * b0 + d0 * a1 * b1 + d1 * (a2 * b2 + d0 * a3 * b3),
+                    a0 * b1 + a1 * b0 + d1 * (a2 * b3 + a3 * b2),
+                    a0 * b2 + a2 * b0 + d0 * (a1 * b3 + a3 * b1),
+                    a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
+        out = [0] * n
         mult = self._mult
         nz = [(t, cb) for t, cb in enumerate(b) if cb]
         for s, ca in enumerate(a):
@@ -308,7 +329,7 @@ class LocalField:
             row = mult[s]
             for t, cb in nz:
                 out[s ^ t] += ca * cb * row[t]
-        return out
+        return tuple(out)
 
     def _tower_norm(self, num, climb: bool):
         """Integer norm N of the integer vector num, taken down the tower.
@@ -329,13 +350,13 @@ class LocalField:
                     f"tower norm left the subfield of {self}")
             if climb:
                 conjugates.append(sx)
-            x = tuple(prod[:h])
+            x = prod[:h]
             n = h
         if not climb:
             return x[0], None
         y = (1,)
         for sx in reversed(conjugates):
-            y = tuple(self._mul(sx, y + (0,) * (len(sx) - len(y))))
+            y = self._mul(sx, y + (0,) * (len(sx) - len(y)))
         return x[0], y
 
     def _val_of_norm(self, norm: int, den: int) -> Fraction:
@@ -603,7 +624,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             if other.field is not f:
                 raise InternalInvariant(f"mixed fields: {f} and {other.field}")
-            return _reduced(f, tuple(f._mul(self.num, other.num)),
+            return _reduced(f, f._mul(self.num, other.num),
                             self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return _reduced(f, tuple([a * other.numerator for a in self.num]),

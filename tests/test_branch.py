@@ -12,6 +12,7 @@ from bttwist.branch import (Matrix2, branch_closed_form, branch_member,
                             branch_with_extension, classify, lift_element,
                             mat, sample_integral_matrix, trace, try_sqrt,
                             unit_fixed_points)
+from bttwist.enumerate import branch_vertices
 from convex_oracle import branch_of_family
 
 Q2 = make_field(2, ())
@@ -246,6 +247,29 @@ class TestEngineProperties:
             for v in win:
                 assert Sa.contains(lift_vertex(v, amb_a)) == \
                     grown.contains(lift_vertex(v, amb))
+
+    @pytest.mark.parametrize("args,seed", [((), 21), ((2,), 22)])
+    def test_scaling_law_on_the_flood_fill(self, args, seed):
+        # branch(alpha q) = branch(q)^[nu(alpha)] on the walk's vertex sets;
+        # only matrices generating a field have a finite branch to walk
+        fld = make_field(2, args)
+        rng = random.Random(seed)
+        center = Vertex(fld.zero, Fraction(0))
+        checked = 0
+        while checked < 8:
+            q = sample_integral_matrix(fld, rng)
+            if classify(q, fld).kind != "etale_field":
+                continue
+            checked += 1
+            base = branch_vertices([q], center)
+            for k in range(3):
+                alpha = fld.pi_pow(k)
+                qa = Matrix2(q.a * alpha, q.b * alpha, q.c * alpha,
+                             q.d * alpha)
+                grown = {w.key() for v in base
+                         for w in Window(v, alpha.valuation())}
+                assert {v.key() for v in branch_vertices([qa], center)} \
+                    == grown
 
     def test_conjugation_equivariance(self):
         fld = make_field(2, ())

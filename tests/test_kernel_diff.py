@@ -2,22 +2,28 @@
 
 Every operation must give exactly the oracle's result: the same coordinate
 Fractions, valuations, defects, square roots and keys.  Fields cover
-degrees 1, 2, 4 and 8 at p = 2 and degrees 1, 2 and 4 at p = 3 (Q_3 has
+degrees 1, 2, 4 and 8 at p = 2, degrees 1, 2 and 4 at p = 3 (Q_3 has
 four square classes, so no multiquadratic model of degree 8 keeps a unique
-prime above 3).  Coordinates mix small and > 2^64 numerators with a
-denominator per coordinate, so the common denominator is a true lcm.
+prime above 3) and degree 4 at p = 5, whose first generator is unramified.
+Coordinates mix small and > 2^64 numerators with a denominator per
+coordinate, so the common denominator is a true lcm.
+
+The integer product itself is checked against the monomial-table loop,
+which `LocalField._mul` ran at every length before the lengths 1, 2 and 4
+were written out, on every prefix length of every field.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_kernel as oracle
 from bttwist.padic import FieldElement, element_sqrt, make_field
 
 FIELDS = [(2, ()), (2, (-3,)), (2, (-3, 2)), (2, (-1, -3, 2)),
-          (3, ()), (3, (2,)), (3, (-1, 3))]
+          (3, ()), (3, (2,)), (3, (-1, 3)), (5, (2, 5))]
 
 BIG = 2 ** 64
 numerators = st.one_of(st.integers(-9, 9), st.integers(-9, 9),
@@ -38,6 +44,43 @@ def field_elements(draw, count):
     vecs = [draw(st.lists(sparse, min_size=n, max_size=n))
             for _ in range(count)]
     return new, old, vecs
+
+
+def table_mul(sqrt_args, a, b):
+    """The product of two integer vectors of length n over the monomial
+    table m_S * m_T = (product of d_i for i in S & T) * m_(S xor T)."""
+    n = len(a)
+    mult = [[prod(d for i, d in enumerate(sqrt_args) if (s & t) >> i & 1)
+             for t in range(n)] for s in range(n)]
+    out = [0] * n
+    nz = [(t, cb) for t, cb in enumerate(b) if cb]
+    for s, ca in enumerate(a):
+        if not ca:
+            continue
+        row = mult[s]
+        for t, cb in nz:
+            out[s ^ t] += ca * cb * row[t]
+    return tuple(out)
+
+
+PREFIXES = [(p, args, 1 << j) for p, args in FIELDS
+            for j in range(len(args) + 1)]
+integers = st.one_of(st.just(0), st.just(0), st.integers(-9, 9),
+                     st.integers(BIG, 2 ** 80), st.integers(-2 ** 80, -BIG))
+
+
+@pytest.mark.parametrize("p,args,n", PREFIXES,
+                         ids=[f"{p}:{','.join(map(str, a))}-n{n}"
+                              for p, a, n in PREFIXES])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mul_agrees_with_the_table(p, args, n, data):
+    f = make_field(p, args)
+    vec = st.lists(integers, min_size=n, max_size=n).map(tuple)
+    a, b = data.draw(vec), data.draw(vec)
+    got = f._mul(a, b)
+    assert type(got) is tuple
+    assert got == table_mul(args, a, b)
 
 
 def same(x, y):
