@@ -240,23 +240,27 @@ def table1() -> dict:
     cross-intersections between ramified-pair classes."""
     ctx = make_context("q8", 2, OMEGA_ARGS)
     amb = ctx.ambient
-    members = count_integral_forms(ctx, OMEGA_ARGS).vertices
+    report = count_integral_forms(ctx, OMEGA_ARGS)
+    members = report.vertices
     subs = [s for s in amb.subfields() if s.field.degree > 1]
     orders = [VertexOrder(ctx.tree, ctx.triv, v) for v in members]
+    # ask the largest subfields first, so that a vertex found outside one is
+    # outside its subfields without a test; report in `subs` order
+    inside = {s: [order.in_subtree(s) for order in orders]
+              for s in reversed(subs)}
+    ids = [str(k) for k in report.vertex_ids]
     defined_over = {i: [] for i in range(len(members))}
     rows = []
     for s in subs:
-        hit = []
-        for i, order in enumerate(orders):
-            if order.in_subtree(s):
-                hit.append(i)
-                defined_over[i].append(s.field.sqrt_args)
+        hit = [i for i, ok in enumerate(inside[s]) if ok]
+        for i in hit:
+            defined_over[i].append(s.field.sqrt_args)
         rows.append({
             "field": s.field.sqrt_args,
             "e": s.field.e,
             "f": s.field.f,
             "count": len(hit),
-            "vertex_ids": sorted(str(members[i].key()) for i in hit),
+            "vertex_ids": sorted(ids[i] for i in hit),
             "members": hit,
         })
     cross = {}

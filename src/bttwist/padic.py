@@ -458,8 +458,10 @@ class LocalField:
                 self._pi_powers[0] = self.one
             elif n > 0:
                 self._pi_powers[n] = self.pi_pow(n - 1) * self.uniformizer
-            else:
-                self._pi_powers[n] = self.pi_pow(n + 1) / self.uniformizer
+            elif n == -1:
+                self._pi_powers[-1] = self.uniformizer.inv()
+            else:  # one inverse of the uniformizer serves every power
+                self._pi_powers[n] = self.pi_pow(n + 1) * self.pi_pow(-1)
         return self._pi_powers[n]
 
     def scale_of_valuation(self, r) -> "FieldElement":

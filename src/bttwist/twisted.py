@@ -182,14 +182,16 @@ def sublattice_machinery(sub: Subfield) -> SubfieldLattice:
 class VertexOrder:
     """What the subfield test needs to know about one vertex, computed at
     most once however many subfields it is asked about: which Galois
-    elements fix the vertex under the twisted action, and the inverse of
-    its order lattice in quaternion coordinates."""
+    elements fix the vertex under the twisted action, the inverse of its
+    order lattice in quaternion coordinates, and the subfields it was found
+    outside."""
 
     def __init__(self, tree: TwistedTree, triv, v: Vertex):
         self.tree = tree
         self.triv = triv
         self.v = v
         self._fixed = {}
+        self._outside = []  # spans of the subfields v was found outside
 
     def fixed_by(self, sigma: int) -> bool:
         if sigma not in self._fixed:
@@ -220,8 +222,30 @@ class VertexOrder:
 
         Criterion: the order of v is spanned over O_L by its E-rational
         part, equivalently the E-rational sublattice has full volume.  A
-        cheap twisted Galois invariance check filters first.
+        cheap twisted Galois invariance check filters first.  Two exact
+        facts decide most pairs without the lattice echelon:
+
+        - unramified descent: if L/E is unramified (E.e == L.e), O_L/O_E is
+          etale and H^1(Gal(L/E), GL_n(O_L)) is trivial, so an invariant
+          order descends to O_E (J.-P. Serre, Local Fields, GTM 67);
+        - subfield inclusion: if E lies in E', the E-rational quaternions
+          H_E lie in H_E', so O_v = O_L (O_v cap H_E) gives
+          O_v = O_L (O_v cap H_E').  T_E lies in T_E', and v is outside
+          every subfield of one it was found outside; the spans of those
+          are remembered.
+
+        The echelon is left for the ramified pairs.
         """
+        span = sub.span
+        if any(span < out for out in self._outside):
+            return False
+        inside = self._decide(sub)
+        if not inside:
+            self._outside.append(span)
+        return inside
+
+    def _decide(self, sub: Subfield) -> bool:
+        """`in_subtree` for a subfield the memo cannot answer."""
         L = self.tree.field
         E = sub.field
         level = self.v.level
@@ -229,10 +253,10 @@ class VertexOrder:
             return False  # midpoints never carry an O_L-order
         if not self.invariant(sub.fixing_masks()):
             return False
-        if E.degree == L.degree:
-            return True  # E = L
         if (level * E.e).denominator != 1:
             return False  # level not in the subfield's value group
+        if E.e == L.e:
+            return True  # L/E unramified (E = L included): v descends
         mach = sublattice_machinery(sub)
         # one valuation-bounded E-functional per (matrix row, mhat component)
         rows = []

@@ -359,6 +359,19 @@ def test_scale_of_valuation_outside_value_group():
         f.scale_of_valuation(Fraction(1, 3))
 
 
+@pytest.mark.parametrize("p,args", [(2, ()), (2, (2,)), (2, (-1, -3, 2)),
+                                    (3, (-1,))])
+def test_negative_pi_powers_use_one_inverse(p, args):
+    # pi^-n multiplies by one cached inverse of the uniformizer; it must be
+    # the element that n divisions by the uniformizer give
+    f = make_field(p, args)
+    divided = f.one
+    for n in range(1, 7):
+        divided = divided / f.uniformizer
+        assert f.pi_pow(-n) == divided
+        assert f.pi_pow(-n) * f.pi_pow(n) == f.one
+
+
 def test_rational_value_of_irrational_element():
     f = make_field(2, (-1,))
     assert (f.one * Fraction(3, 4)).rational_value() == Fraction(3, 4)
