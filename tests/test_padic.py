@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from bttwist.errors import (InternalInvariant, NotSquareFree, NumberTooLarge,
                             SplitPrime, ZeroInput)
-from bttwist.padic import (INFINITY, SQUAREFREE_TRIAL_LIMIT, _int_sqrt,
-                           element_sqrt, make_field, parity, quad_ext_type,
-                           squarefree_part)
+from bttwist.padic import (INFINITY, SQUAREFREE_TRIAL_LIMIT, FieldElement,
+                           LocalField, _int_sqrt, element_sqrt, make_field,
+                           parity, quad_ext_type, squarefree_part)
 
 import squarefree_oracle
 
@@ -361,15 +361,25 @@ def test_scale_of_valuation_outside_value_group():
 
 @pytest.mark.parametrize("p,args", [(2, ()), (2, (2,)), (2, (-1, -3, 2)),
                                     (3, (-1,))])
-def test_negative_pi_powers_use_one_inverse(p, args):
-    # pi^-n multiplies by one cached inverse of the uniformizer; it must be
-    # the element that n divisions by the uniformizer give
-    f = make_field(p, args)
+def test_negative_pi_powers_invert_the_uniformizer_once(p, args,
+                                                        monkeypatch):
+    # pi^-n multiplies by one cached inverse of the uniformizer: a fresh
+    # field inverts once for all six powers, and each power is the element
+    # that n divisions by the uniformizer give
+    f = LocalField(p, args)
+    pi = f.uniformizer
+    inverted = []
+    inv = FieldElement.inv
+    monkeypatch.setattr(FieldElement, "inv",
+                        lambda x: inverted.append(x) or inv(x))
+    powers = [f.pi_pow(-n) for n in range(1, 7)]
+    assert inverted == [pi]
+    monkeypatch.undo()
     divided = f.one
-    for n in range(1, 7):
-        divided = divided / f.uniformizer
-        assert f.pi_pow(-n) == divided
-        assert f.pi_pow(-n) * f.pi_pow(n) == f.one
+    for n, power in enumerate(powers, 1):
+        divided = divided / pi
+        assert power == divided
+        assert power * f.pi_pow(n) == f.one
 
 
 def test_rational_value_of_irrational_element():
