@@ -103,13 +103,19 @@ class BoundaryPoint:
 class Vertex:
     """The ball B_{center, level}.  Levels are rationals; lattice vertices of
     the ambient tree have level in (1/e)Z, but midpoint pseudo-vertices with
-    other rational levels are allowed wherever they make sense."""
+    other rational levels are allowed wherever they make sense.
+
+    Two vertices are equal when they have the same level and their centers
+    lie within pi^level of each other, i.e. nu(a - b) >= level.  Comparing
+    vertices of different fields raises InternalInvariant when the levels
+    agree (the centers cannot be subtracted); different levels are unequal
+    in any field."""
 
     __slots__ = ("center", "level")
 
     def __init__(self, center: FieldElement, level):
         self.center = center
-        self.level = Fraction(level)
+        self.level = level if level.__class__ is Fraction else Fraction(level)
 
     @property
     def field(self) -> LocalField:
@@ -118,22 +124,28 @@ class Vertex:
     def __eq__(self, other):
         if not isinstance(other, Vertex):
             return NotImplemented
-        if self.level != other.level:
+        # Fractions are in lowest terms, so this is exactly a != b, without
+        # the numbers.Rational check of Fraction.__eq__
+        a, b = self.level, other.level
+        if a.numerator != b.numerator or a.denominator != b.denominator:
             return False
-        return (self.center - other.center).valuation() >= self.level
+        x, y = self.center, other.center
+        if x.field is y.field and x.den == y.den and x.num == y.num:
+            return True
+        return (x - y).valuation() >= a
 
     def __hash__(self):  # pragma: no cover - identity hashing is a trap here
         raise TypeError("Vertex is not hashable; use key() for canonical ids")
 
     def key(self) -> tuple:
-        """Canonical id (level, reduced center digits); equal balls agree."""
-        f = self.field
-        n_end = self.level * f.e
-        if n_end.denominator != 1:
-            # pseudo-vertex: reduce at the finest integral level below
-            n_end = Fraction(int(n_end // 1))
-        reduced = _reduce_center(self.center, int(n_end))
-        return (self.level, reduced.key())
+        """Canonical id (level, reduced center digits); equal balls agree.
+
+        Valuations lie in (1/e)Z, so nu(a - b) >= level exactly when
+        nu(a - b) >= ceil(level * e) / e: the center is reduced at
+        ceil(level * e) digits (level * e itself at a lattice vertex)."""
+        level = self.level
+        n_end = -(-level.numerator * self.field.e // level.denominator)
+        return (level, _reduce_center(self.center, n_end).key())
 
     def __repr__(self):
         return f"B({self.center!r}, {self.level})"
@@ -316,16 +328,18 @@ class MoebiusMap:
         Midpoints (levels off the (1/e)Z lattice) map by interpolating the
         images of the two lattice endpoints of their edge."""
         f = v.field
-        scaled = v.level * f.e
-        if scaled.denominator != 1:
-            r0 = Fraction(int(scaled // 1), f.e)
-            delta = v.level - r0
+        e = f.e
+        level = v.level
+        n, rem = divmod(level.numerator * e, level.denominator)
+        if rem:
+            r0 = Fraction(n, e)
+            delta = level - r0
             u0 = self.apply_vertex(Vertex(v.center, r0))
-            u1 = self.apply_vertex(Vertex(v.center, r0 + Fraction(1, f.e)))
+            u1 = self.apply_vertex(Vertex(v.center, r0 + Fraction(1, e)))
             if u1.level > u0.level:
                 return Vertex(u1.center, u0.level + delta)
             return Vertex(u0.center, u0.level - delta)
-        t = f.scale_of_valuation(v.level)
+        t = f.pi_pow(n)
         # columns of g * (basis of Lambda_{a, r})
         u1 = self.a * v.center + self.b
         u2 = self.c * v.center + self.d

@@ -151,14 +151,13 @@ def cmd_table1(args) -> int:
 
 
 def cmd_global(args) -> int:
-    kwargs = {}
-    if args.assert_existence:
-        kwargs["assert_existence"] = True
-    if args.resolve:
-        kwargs["resolve_rep"] = globalforms.case_c_example_rep(args.N)
-        kwargs.setdefault("assert_existence", True)
-    res = globalforms.global_count(args.N, **kwargs)
-    out = dict(res)
+    out = globalforms.global_count(
+        args.N, assert_existence=args.assert_existence or args.resolve)
+    if args.resolve and out["case"] == "c":
+        # only case (c) needs a representation, and only N = 5, 6 have one
+        out["count"] = globalforms.resolve_case_c(
+            args.N, globalforms.case_c_example_rep(args.N))
+        out["resolved"] = True
     if "case_c_pair" in out:
         out["case_c_pair"] = list(out["case_c_pair"])
     print(json.dumps(out, sort_keys=True))

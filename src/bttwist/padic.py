@@ -465,11 +465,12 @@ class LocalField:
         return self._pi_powers[n]
 
     def scale_of_valuation(self, r) -> "FieldElement":
-        """An element of exact valuation r (r must lie in (1/e)Z)."""
-        n = Fraction(r) * self.e
-        if n.denominator != 1:
+        """An element of exact valuation r, an int or a Fraction that must
+        lie in (1/e)Z."""
+        n, rem = divmod(r.numerator * self.e, r.denominator)
+        if rem:
             raise InternalInvariant(f"{r} not in value group of {self}")
-        return self.pi_pow(int(n))
+        return self.pi_pow(n)
 
     # -- quadratic defect -------------------------------------------------------
 

@@ -86,24 +86,31 @@ class TwistedTree:
     def invariant_vertices(self, subgroup, window,
                            include_midpoints: bool = False):
         """Window vertices fixed by the whole subgroup; optionally also the
-        flagged midpoints of swapped edges."""
-        out = [v for v in window if self.invariant(subgroup, v)]
+        midpoints of edges that every element fixes or swaps end for end and
+        some element swaps.  Each twisted action is computed at most once."""
+        verts = window.vertices
+        images = {}
+
+        def image(s, i):
+            if (s, i) not in images:
+                images[s, i] = self.apply(s, verts[i])
+            return images[s, i]
+
+        out = [v for i, v in enumerate(verts)
+               if all(image(s, i) == v for s in subgroup)]
         if include_midpoints:
-            half = Fraction(1, 2 * self.field.e)
             for pi, ci in window.edges:
-                p, c = window.vertices[pi], window.vertices[ci]
-                mid = Vertex(c.center, (p.level + c.level) / 2)
-                swapped = any(
-                    self.apply(s, p) == c and self.apply(s, c) == p
-                    for s in subgroup
-                )
-                stable = all(
-                    (self.apply(s, p) == p and self.apply(s, c) == c)
-                    or (self.apply(s, p) == c and self.apply(s, c) == p)
-                    for s in subgroup
-                )
-                if swapped and stable:
-                    out.append(mid)
+                p, c = verts[pi], verts[ci]
+                swapped = False
+                for s in subgroup:
+                    sp, sc = image(s, pi), image(s, ci)
+                    if sp == c and sc == p:
+                        swapped = True
+                    elif not (sp == p and sc == c):
+                        break
+                else:
+                    if swapped:
+                        out.append(Vertex(c.center, (p.level + c.level) / 2))
         return out
 
 
@@ -169,14 +176,14 @@ class SubfieldLattice:
         return rational_image(self._rows, self._den, x, self.E)
 
 
+# keyed by the Subfield itself: the key holds its parent field alive
 _SUBLATTICE_CACHE: dict = {}
 
 
 def sublattice_machinery(sub: Subfield) -> SubfieldLattice:
-    key = (id(sub.parent), sub.field.sqrt_args)
-    if key not in _SUBLATTICE_CACHE:
-        _SUBLATTICE_CACHE[key] = SubfieldLattice(sub)
-    return _SUBLATTICE_CACHE[key]
+    if sub not in _SUBLATTICE_CACHE:
+        _SUBLATTICE_CACHE[sub] = SubfieldLattice(sub)
+    return _SUBLATTICE_CACHE[sub]
 
 
 class VertexOrder:

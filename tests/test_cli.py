@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from bttwist import cli
+from bttwist.padic import squarefree_part
 
 def run_cli(*args, env_extra=None, check=True, python_flags=(),
             timeout=None):
@@ -133,6 +138,29 @@ def test_bad_base_field_raises_its_own_error(field, error):
                    check=False)
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == error
+
+
+def _main_in_process(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue()
+
+
+def test_global_resolve_in_cases_a_and_b():
+    # only case (c) needs a representation to resolve; in cases (a) and (b)
+    # --resolve must answer as --assert-existence does, not fail on N
+    answered = []
+    for N in range(1, 61):
+        if squarefree_part(N)[0] != N:
+            continue
+        rc, out = _main_in_process("global", "-N", str(N),
+                                   "--assert-existence")
+        if rc == 0 and json.loads(out)["case"] in ("a", "b"):
+            answered.append(N)
+            assert _main_in_process("global", "-N", str(N),
+                                    "--resolve") == (0, out), N
+    assert answered == [1, 2, 3, 11, 14, 17, 19, 34, 41, 43, 46, 51, 59]
 
 
 def test_global_zero_is_bad_n():

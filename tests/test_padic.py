@@ -353,10 +353,20 @@ def test_mixed_fields_raise_internal_invariant():
 
 
 def test_scale_of_valuation_outside_value_group():
-    f = make_field(2, (-1,))
+    # ints and Fractions on the (1/e)Z grid give the cached power of the
+    # uniformizer; levels off it raise
+    f = make_field(2, (-1,))  # e = 2
     assert f.scale_of_valuation(Fraction(3, 2)).valuation() == Fraction(3, 2)
-    with pytest.raises(InternalInvariant):
-        f.scale_of_valuation(Fraction(1, 3))
+    for r in (1, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)):
+        assert f.scale_of_valuation(r) is f.pi_pow(int(r * 2))
+    g = make_field(2, (-3,))  # e = 1
+    for r in (0, 2, -3, Fraction(-3)):
+        assert g.scale_of_valuation(r) is g.pi_pow(int(r))
+    for field, r in ((f, Fraction(1, 3)), (f, Fraction(1, 4)),
+                     (f, Fraction(-1, 3)), (g, Fraction(1, 3)),
+                     (g, Fraction(1, 2)), (g, Fraction(-5, 2))):
+        with pytest.raises(InternalInvariant):
+            field.scale_of_valuation(r)
 
 
 @pytest.mark.parametrize("p,args", [(2, ()), (2, (2,)), (2, (-1, -3, 2)),

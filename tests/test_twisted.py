@@ -5,7 +5,8 @@ import pytest
 
 from bttwist.errors import CocycleLawViolated
 from bttwist.linalg import det, inverse
-from bttwist.padic import make_field, parity
+from bttwist import twisted
+from bttwist.padic import LocalField, make_field, parity
 from bttwist.bttree import (BoundaryPoint, MoebiusMap, Vertex, Window,
                             distance, e_vertex_test_untwisted, neighbors)
 from bttwist.quatalg import (find_trivialization,
@@ -13,9 +14,11 @@ from bttwist.quatalg import (find_trivialization,
                              standard_groups)
 from bttwist.twisted import (Cocycle, TwistedTree,
                              order_lattice_of_vertex, standard_cocycle,
-                             subfield_vertex_test, trivial_cocycle)
+                             subfield_vertex_test, sublattice_machinery,
+                             trivial_cocycle)
 
 from helpers import rand_vertex
+import vertex_oracle
 
 OMEGA = make_field(2, (-1, -3, 2))
 F_UNRAM = make_field(2, (-3,))
@@ -145,6 +148,48 @@ class TestInvariantSubtrees:
         for v in win:
             assert (dist_to_base_tree(v) <= ell) == \
                 any(v == w for w in inv)
+
+
+@pytest.mark.parametrize("midpoints", [False, True])
+@pytest.mark.parametrize("args,subgroups", [
+    # every subgroup of Gal(L/Q_2); only the unramified quadratic has a
+    # swapped edge in its window, so only it has an invariant midpoint
+    ((-1, -3), ([0], [0, 1], [0, 2], [0, 3], [0, 1, 2, 3])),
+    ((-3,), ([0], [0, 1])),
+])
+def test_invariant_vertices_match_the_old_loop(args, subgroups, midpoints,
+                                               monkeypatch):
+    L = make_field(2, args)
+    tree, _ = division_tree(L)
+    win = Window(Vertex(L.zero, Fraction(0)), Fraction(3, L.e))
+    apply = TwistedTree.apply
+    off_grid = 0
+    for subgroup in subgroups:
+        want = vertex_oracle.invariant_vertices(tree, subgroup, win,
+                                                midpoints)
+        calls = []
+        monkeypatch.setattr(
+            TwistedTree, "apply",
+            lambda self, s, x: calls.append((s, id(x))) or apply(self, s, x))
+        got = tree.invariant_vertices(subgroup, win, midpoints)
+        monkeypatch.undo()
+        assert len(got) == len(want)
+        assert all(u.level == w.level and u == w for u, w in zip(got, want))
+        assert len(calls) == len(set(calls))  # each action computed once
+        off_grid += sum((v.level * L.e).denominator != 1 for v in got)
+    assert off_grid == (midpoints and args == (-3,))
+
+
+def test_sublattice_machinery_of_fresh_fields(monkeypatch):
+    # two models of the same field, built apart, each get their own
+    # machinery; neither is answered from the other's cache entry
+    monkeypatch.setattr(twisted, "_SUBLATTICE_CACHE", {})
+    first, second = LocalField(2, (-1,)), LocalField(2, (-1,))
+    for L in (first, second, first):
+        mach = sublattice_machinery(L.find_subfield(()))
+        assert mach.sub.parent is L and mach.L is L
+        assert all(m.field is L for m in mach.mhat)
+    assert len(twisted._SUBLATTICE_CACHE) == 2
 
 
 class TestOrderPullback:
