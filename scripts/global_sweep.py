@@ -21,12 +21,8 @@ def main():
         if squarefree_part(N)[0] != N:
             continue
         try:
-            kw = {}
-            if N % 8 != 3:
-                kw["assert_existence"] = True
-            if N in (5, 6):
-                kw["resolve_rep"] = globalforms.case_c_example_rep(N)
-            out = globalforms.global_count(N, **kw)
+            out = globalforms.global_count(
+                N, assert_existence=N % 8 != 3, resolve=N in (5, 6))
         except BttwistError as exc:
             print(f"{N:>4}  --  {type(exc).__name__}: {exc}")
             continue

@@ -165,7 +165,6 @@ def _reduce_center(a: FieldElement, n_end: int) -> FieldElement:
         if rv is INFINITY or rv >= Fraction(n_end, f.e):
             break
         pj = f.pi_pow(j)
-        hit = False
         for c in f.residue_reps:
             if c.is_zero():
                 continue
@@ -173,14 +172,13 @@ def _reduce_center(a: FieldElement, n_end: int) -> FieldElement:
             if cand.valuation() > Fraction(j, f.e):
                 out = out + c * pj
                 res = cand
-                hit = True
                 break
-        if not hit:
-            if res.valuation() <= Fraction(j, f.e):
-                # valuation off the lattice grid: keep the term as-is
-                out = out + res
-                res = f.zero
-                break
+        else:
+            if rv <= Fraction(j, f.e):
+                # rv lies in (1/e)Z, so res is pi^j times a unit, and a
+                # complete set of residue representatives has its digit
+                raise InternalInvariant(
+                    f"no residue digit for {res!r} at level {j}/{f.e} in {f}")
         j += 1
     return out
 

@@ -114,9 +114,7 @@ def cmd_branch(args) -> int:
 
 def cmd_count_local(args) -> int:
     p, sqrts = args.field
-    rep = {"q8": counting.q8_counts, "hurwitz": counting.hurwitz_counts,
-           "dicyclic": counting.dicyclic_counts,
-           "maxorder": counting.maximal_order_forms}[args.group](p, sqrts)
+    rep = counting.count_local(args.group, p, sqrts)
     out = {
         "group": rep.group,
         "base_field": {"p": p, "sqrt_args": list(sqrts)},
@@ -152,14 +150,8 @@ def cmd_table1(args) -> int:
 
 def cmd_global(args) -> int:
     out = globalforms.global_count(
-        args.N, assert_existence=args.assert_existence or args.resolve)
-    if args.resolve and out["case"] == "c":
-        # only case (c) needs a representation, and only N = 5, 6 have one
-        out["count"] = globalforms.resolve_case_c(
-            args.N, globalforms.case_c_example_rep(args.N))
-        out["resolved"] = True
-    if "case_c_pair" in out:
-        out["case_c_pair"] = list(out["case_c_pair"])
+        args.N, assert_existence=args.assert_existence or args.resolve,
+        resolve=args.resolve)
     print(json.dumps(out, sort_keys=True))
     return 0
 

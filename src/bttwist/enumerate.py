@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import (FieldTooSmall, InternalInvariant,
                      NotAbsolutelyIrreducible, NotSquareFree, SplitPrime,
                      WindowInsufficient)
-from .padic import LocalField, make_field, quad_ext_type, squarefree_part
+from .padic import LocalField, make_field, quad_ext_type
 from .bttree import MoebiusMap, Vertex, neighbors, vertex_cap
 from .branch import branch_member
 from .linalg import rank
@@ -70,7 +70,6 @@ class CountingContext:
         self.group = group_name
         self.ambient = ambient
         self.triv = triv
-        self.gen_quats = list(gens)
         self.images = [triv.image(g) for g in gens]
         self.tree = TwistedTree(
             ambient, standard_cocycle(ambient, triv.flip_d,
@@ -170,58 +169,28 @@ def branch_vertices(images, center: Vertex) -> list:
 def count_integral_forms(ctx: CountingContext, e_args: tuple) -> IFReport:
     """Count the group's integral forms over the subfield given by e_args.
 
-    The branch is found from the standard center by `branch_vertices`.
+    The branch is found from the standard center by `branch_vertices`, and
+    each member is kept if it is a vertex of the subfield's subtree.  When
+    e_args generate the whole ambient field, the test keeps exactly the
+    members on its lattice levels.
     """
     amb = ctx.ambient
     e_args = tuple(e_args)
-    span_args = {amb.span_class[m][0] for m in range(1, amb.degree)}
-    wanted = {squarefree_part(int(d))[0] for d in e_args}
-    if wanted and not wanted.issubset(span_args):
-        raise ValueError(f"{e_args} does not embed in the ambient {amb}")
-    whole = _span_of(wanted) == span_args
-    sub = None if whole else amb.find_subfield(e_args)
+    sub = amb.find_subfield(e_args)
     center_level = Fraction(-1, 2) if amb.e % 2 == 0 else Fraction(0)
     members = branch_vertices(ctx.images, Vertex(amb.zero, center_level))
-    if sub is None:
-        vertices = [v for v in members
-                    if (v.level * amb.e).denominator == 1]
-        e_s, f_s = amb.e, amb.f
-    else:
-        vertices = [v for v in members
-                    if subfield_vertex_test(ctx.tree, ctx.triv, v, sub)]
-        e_s, f_s = sub.field.e, sub.field.f
-    return IFReport(ctx.group, e_args, amb.sqrt_args, e_s, f_s,
-                    len(vertices), vertices)
+    vertices = [v for v in members
+                if subfield_vertex_test(ctx.tree, ctx.triv, v, sub)]
+    return IFReport(ctx.group, e_args, amb.sqrt_args, sub.field.e,
+                    sub.field.f, len(vertices), vertices)
 
 
-def _span_of(gens):
-    span = {1}
-    for d in gens:
-        span = span | {squarefree_part(d * x)[0] for x in span}
-    return span - {1}
-
-
-def maximal_order_forms(p: int, e_args: tuple, pi=None, delta=None) -> IFReport:
-    """Conjugacy classes of integral representations of the maximal order of
-    the division algebra (pi, delta) over the field given by e_args."""
-    params = (pi if pi is not None else p,
-              delta if delta is not None else _unram_unit(p))
-    ctx = make_context("maxorder", p, e_args, maxorder_params=params)
-    return count_integral_forms(ctx, e_args)
-
-
-def hurwitz_counts(p: int, e_args: tuple) -> IFReport:
-    ctx = make_context("hurwitz", p, e_args)
-    return count_integral_forms(ctx, e_args)
-
-
-def dicyclic_counts(p: int, e_args: tuple) -> IFReport:
-    ctx = make_context("dicyclic", p, e_args)
-    return count_integral_forms(ctx, e_args)
-
-
-def q8_counts(p: int, e_args: tuple) -> IFReport:
-    ctx = make_context("q8", p, e_args)
+def count_local(group: str, p: int, e_args: tuple,
+                maxorder_params=None) -> IFReport:
+    """Conjugacy classes of integral representations of the group over the
+    field Q_p(sqrt d : d in e_args); `maxorder_params` is the (pi, delta)
+    of the division algebra whose maximal order is the group "maxorder"."""
+    ctx = make_context(group, p, e_args, maxorder_params)
     return count_integral_forms(ctx, e_args)
 
 

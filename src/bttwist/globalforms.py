@@ -224,15 +224,12 @@ class ClassGroup:
                                 f"composition is not associative at "
                                 f"{i}, {j}, {k}")
 
-    def mul(self, f: QuadForm, g: QuadForm) -> QuadForm:
-        return compose(f, g)
-
     def h2(self) -> int:
-        e = self.identity
-        return sum(1 for f in self.elements if compose(f, f) == e)
+        e = self.elements.index(self.identity)
+        return sum(1 for i in range(self.h) if self.table[i][i] == e)
 
     def squares(self) -> set:
-        return {compose(f, f) for f in self.elements}
+        return {self.elements[self.table[i][i]] for i in range(self.h)}
 
 
 def class_group(N: int) -> ClassGroup:
@@ -247,13 +244,7 @@ def genus_number(N: int) -> int:
     if D % 2 != 0:
         mu = r
     else:
-        n = N  # D = -4N here
-        if n % 4 == 3:
-            mu = r
-        elif n % 8 == 0:  # not squarefree; unreachable
-            mu = r + 2
-        else:
-            mu = r + 1
+        mu = r if N % 4 == 3 else r + 1  # D = -4N here
     return 2 ** (mu - 1)
 
 
@@ -306,10 +297,11 @@ def serre_existence(N: int) -> bool:
 
 
 def global_count(N: int, assert_existence: bool = False,
-                 resolve_rep=None) -> dict:
+                 resolve: bool = False) -> dict:
     """The number of conjugacy classes of integral global forms of Q8 over
     Q(sqrt(-N)), by congruence case; case (c) stays a pair {h2, 3 h2} unless
-    a representation is supplied to resolve it."""
+    `resolve` asks to decide it with the built-in representation, which
+    exists for N = 5 and 6 only (BadN otherwise)."""
     D = discriminant_of(N)
     a = N % 8
     covered = []
@@ -343,8 +335,8 @@ def global_count(N: int, assert_existence: bool = False,
         return out
     out["case"] = "c"
     out["case_c_pair"] = (hh2, 3 * hh2)
-    if resolve_rep is not None:
-        out["count"] = resolve_case_c(N, resolve_rep)
+    if resolve:
+        out["count"] = resolve_case_c(case_c_example_rep(N), hh2)
         out["resolved"] = True
     return out
 
@@ -369,9 +361,10 @@ def case_c_example_rep(N: int):
     return i_mat, j_mat
 
 
-def resolve_case_c(N: int, rep) -> int:
-    """Decide between h2 and 3*h2 from the dyadic distance between the
-    standard-lattice vertex and the nearest vertex containing the image."""
+def resolve_case_c(rep, hh2: int) -> int:
+    """Decide between hh2 and 3*hh2, where hh2 is the 2-torsion size of the
+    class group, from the dyadic distance between the standard-lattice
+    vertex and the nearest vertex containing the image."""
     i_mat, j_mat = rep
     f = i_mat.a.field
     neg1 = f.from_rational(-1)
@@ -385,8 +378,6 @@ def resolve_case_c(N: int, rep) -> int:
     for m in (i_mat, j_mat, anti):
         if (m.a + m.d).valuation() < 0 or m.det().valuation() < 0:
             raise InvalidRepresentation("image is not integral at the dyadic prime")
-    C = class_group(N)
-    hh2 = h2(C)
     v0 = Vertex(f.zero, Fraction(0))
     dmin = distance(v0, branch_vertices([i_mat, j_mat], v0)[0])
     nu2 = f.from_rational(2).valuation()

@@ -552,17 +552,20 @@ class LocalField:
         return self._subfields
 
     def find_subfield(self, sqrt_args) -> "Subfield":
-        """Locate the subfield generated by the given (squarefree) integers."""
+        """Locate the subfield generated by the given (squarefree) integers.
+        If they generate this whole field, that is a Subfield too: the one
+        built from the full span, whose `field` is this model."""
         want = {0}
         for d in sqrt_args:
             mask = self.mask_of(squarefree_part(int(d))[0])
             if not mask:
                 raise ValueError(f"sqrt({d}) not in {self}")
             want = want | {x ^ mask for x in want}
-        for sub in self.subfields():
-            if sub.span == frozenset(want):
-                return sub
-        raise ValueError("subfield not found (it may be the whole field)")
+        want = frozenset(want)
+        if len(want) == self.degree:
+            return _build_subfield(self, want)
+        # every proper subgroup of the span is one of the subfields
+        return next(sub for sub in self.subfields() if sub.span == want)
 
 
 class FieldElement:

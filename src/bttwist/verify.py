@@ -24,7 +24,7 @@ from .twisted import TwistedTree, standard_cocycle, trivial_cocycle
 
 def check_q8_omega() -> tuple:
     """Criterion 1: 26 forms over the full dyadic tower, in shells 1+5+20."""
-    rep = counting.q8_counts(2, (-1, -3, 2))
+    rep = counting.count_local("q8", 2, (-1, -3, 2))
     if rep.count != 26:
         return False, f"count {rep.count} != 26"
     center = Vertex(make_field(2, (-1, -3, 2)).zero, Fraction(-1, 2))
@@ -92,7 +92,7 @@ def check_prop_7_2() -> tuple:
 
 def check_psi() -> tuple:
     """Criterion 4: 10 forms over the totally ramified biquadratic field."""
-    rep = counting.q8_counts(2, (-1, 2))
+    rep = counting.count_local("q8", 2, (-1, 2))
     return rep.count == 10, f"count {rep.count}"
 
 
@@ -102,7 +102,7 @@ def check_maxorder() -> tuple:
              ((-1, -3, 2), 5)]
     got = []
     for args, want in cases:
-        rep = counting.maximal_order_forms(2, args, pi=2, delta=-3)
+        rep = counting.count_local("maxorder", 2, args, (2, -3))
         got.append(rep.count)
         if rep.count != want:
             return False, f"over Q2{args}: {rep.count} != {want}"
@@ -112,21 +112,21 @@ def check_maxorder() -> tuple:
 def check_hurwitz_dicyclic() -> tuple:
     """Criterion 6: Hurwitz 2/1/1 and dicyclic 2/1/1."""
     checks = [
-        (counting.hurwitz_counts, 2, (-3,), 2),
-        (counting.hurwitz_counts, 2, (2,), 1),
-        (counting.hurwitz_counts, 3, (-1,), 1),
+        ("hurwitz", 2, (-3,), 2),
+        ("hurwitz", 2, (2,), 1),
+        ("hurwitz", 3, (-1,), 1),
         # Q_3(sqrt 2) = Q_3(sqrt -1) as local fields (-2 is a 3-adic square)
-        (counting.dicyclic_counts, 3, (-1,), 2),
-        (counting.dicyclic_counts, 3, (3,), 1),
-        (counting.dicyclic_counts, 2, (-6,), 1),
+        ("dicyclic", 3, (-1,), 2),
+        ("dicyclic", 3, (3,), 1),
+        ("dicyclic", 2, (-6,), 1),
     ]
     q3 = make_field(3, ())
     if not (q3.quadratic_defect(q3.from_rational(-2)) is INFINITY):
         return False, "-2 should be a 3-adic square (model aliasing broken)"
-    for fn, p, args, want in checks:
-        rep = fn(p, args)
+    for group, p, args, want in checks:
+        rep = counting.count_local(group, p, args)
         if rep.count != want:
-            return False, f"{fn.__name__} over Q{p}{args}: {rep.count} != {want}"
+            return False, f"{group} over Q{p}{args}: {rep.count} != {want}"
     return True, "all six division/split cases match"
 
 
@@ -145,12 +145,10 @@ def check_global() -> tuple:
     g3 = globalforms.global_count(3)
     if g3["count"] != 2:
         return False, f"N=3: {g3['count']} != 2"
-    r5 = globalforms.global_count(5, assert_existence=True,
-                                  resolve_rep=globalforms.case_c_example_rep(5))
+    r5 = globalforms.global_count(5, assert_existence=True, resolve=True)
     if r5["count"] != 6:
         return False, f"N=5: {r5['count']} != 6"
-    r6 = globalforms.global_count(6, assert_existence=True,
-                                  resolve_rep=globalforms.case_c_example_rep(6))
+    r6 = globalforms.global_count(6, assert_existence=True, resolve=True)
     if r6["count"] != 2:
         return False, f"N=6: {r6['count']} != 2"
     if globalforms.serre_existence(35):

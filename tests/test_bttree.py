@@ -215,6 +215,15 @@ class TestTypedErrors:
         with pytest.raises(InternalInvariant):
             tubular(standard_horoball(Q2, 0), -1)
 
+    def test_incomplete_residue_reps_raise_instead_of_a_wrong_id(self):
+        # a fresh model, so the cached make_field one keeps its digits
+        from bttwist.padic import LocalField
+        f = LocalField(2, (-3,))
+        w = f.residue_reps[3]  # a unit whose digit is about to go missing
+        f._residue_reps = f.residue_reps[:2]
+        with pytest.raises(InternalInvariant):
+            Vertex(w, Fraction(1)).key()
+
 
 class TestIntersection:
     def test_quaternion_generator_tubes_meet_in_ball(self):

@@ -5,7 +5,7 @@ import pytest
 
 from bttwist.errors import (FieldTooSmall, InternalInvariant,
                             NotAbsolutelyIrreducible, WindowInsufficient)
-from bttwist.padic import make_field
+from bttwist.padic import Subfield, make_field
 from bttwist.bttree import Vertex, distance
 from bttwist import enumerate as counting
 from bttwist.quatalg import maxorder_generators, order_closure
@@ -14,21 +14,21 @@ from bttwist.twisted import subfield_vertex_test
 
 class TestQ8Local:
     def test_full_tower(self):
-        rep = counting.q8_counts(2, (-1, -3, 2))
+        rep = counting.count_local("q8", 2, (-1, -3, 2))
         assert rep.count == 26
         assert rep.e == 4 and rep.f == 2
 
     def test_totally_ramified_biquadratic(self):
-        rep = counting.q8_counts(2, (-1, 2))
+        rep = counting.count_local("q8", 2, (-1, 2))
         assert rep.count == 10
 
     def test_unramified_quadratic_pair(self):
-        rep = counting.q8_counts(2, (-3,))
+        rep = counting.count_local("q8", 2, (-3,))
         assert rep.count == 2
 
     def test_odd_prime_is_singleton(self):
-        assert counting.q8_counts(3, (-1,)).count == 1
-        assert counting.q8_counts(3, ()).count == 1
+        assert counting.count_local("q8", 3, (-1,)).count == 1
+        assert counting.count_local("q8", 3, ()).count == 1
 
     def test_mixed_quartic_breakdown(self):
         # over E*F: six forms; two over the unramified quadratic, the others
@@ -50,12 +50,46 @@ class TestQ8Local:
                     or subfield_vertex_test(ctx.tree, ctx.triv, v, subF2))
 
 
+# the count-local contexts whose field is the whole ambient model
+WHOLE_FIELD = [
+    ("q8", 2, (-1, -3, 2)), ("q8", 2, (-3, -1)), ("q8", 2, (-3, 2)),
+    ("q8", 2, (-3, 6)), ("q8", 2, (-3,)), ("maxorder", 2, (-3,)),
+    ("maxorder", 2, (-1,)), ("maxorder", 2, (2,)), ("maxorder", 2, (-3, 2)),
+    ("maxorder", 2, (-1, -3, 2)), ("hurwitz", 2, (-3,)),
+    ("hurwitz", 3, (-1,)), ("dicyclic", 3, (-1,)), ("dicyclic", 2, (-6,)),
+]
+
+
+class TestWholeField:
+    def test_lookup_returns_the_model_itself(self):
+        amb = make_field(2, (-1, -3, 2))
+        sub = amb.find_subfield(amb.sqrt_args)
+        assert isinstance(sub, Subfield)
+        assert sub.field is amb and sub.parent is amb
+        assert sub.fixing_masks() == (0,)
+        assert amb.find_subfield((-3, 2, -1)) == sub
+
+    @pytest.mark.parametrize("group,p,args", WHOLE_FIELD)
+    def test_subfield_test_keeps_the_lattice_members(self, group, p, args):
+        ctx = counting.make_context(group, p, args)
+        amb = ctx.ambient
+        assert amb.sqrt_args == args
+        sub = amb.find_subfield(args)
+        level = Fraction(-1, 2) if amb.e % 2 == 0 else Fraction(0)
+        members = counting.branch_vertices(ctx.images, Vertex(amb.zero, level))
+        kept = [v for v in members
+                if subfield_vertex_test(ctx.tree, ctx.triv, v, sub)]
+        on_lattice = [v for v in members
+                      if (v.level * amb.e).denominator == 1]
+        assert [v.key() for v in kept] == [v.key() for v in on_lattice]
+
+
 class TestMaxOrder:
     @pytest.mark.parametrize("args,want", [
         ((-3,), 2), ((-1,), 1), ((2,), 1), ((-3, 2), 3), ((-1, -3, 2), 5),
     ])
     def test_counts(self, args, want):
-        rep = counting.maximal_order_forms(2, args, pi=2, delta=-3)
+        rep = counting.count_local("maxorder", 2, args, (2, -3))
         assert rep.count == want
         # e + 1 when the unramified root is present
         span = set()
@@ -74,29 +108,29 @@ class TestMaxOrder:
         # the ambient; a maximal order of the split algebra is one vertex
         alg, gens = maxorder_generators(-1, 2)
         assert order_closure(alg, gens, p)[1]
-        rep = counting.maximal_order_forms(p, (), pi=-1, delta=2)
+        rep = counting.count_local("maxorder", p, (), (-1, 2))
         assert rep.ambient_args == () and rep.count == 1
 
     def test_non_integral_generators_have_no_forms(self, monkeypatch):
         # (j - 1)/2 has reduced norm -1/4 in (-1,2), so at 2 no maximal order
         # contains it; the walk used to run to the vertex cap instead
         monkeypatch.setenv("BTTWIST_VERTEX_CAP", "30")
-        assert counting.maximal_order_forms(2, (), pi=-1, delta=2).count == 0
+        assert counting.count_local("maxorder", 2, (), (-1, 2)).count == 0
 
 
 class TestHurwitzDicyclic:
     def test_hurwitz(self):
-        assert counting.hurwitz_counts(2, (-3,)).count == 2
-        assert counting.hurwitz_counts(2, (2,)).count == 1
-        assert counting.hurwitz_counts(3, (-1,)).count == 1
-        assert counting.hurwitz_counts(5, ()).count == 1
+        assert counting.count_local("hurwitz", 2, (-3,)).count == 2
+        assert counting.count_local("hurwitz", 2, (2,)).count == 1
+        assert counting.count_local("hurwitz", 3, (-1,)).count == 1
+        assert counting.count_local("hurwitz", 5, ()).count == 1
 
     def test_dicyclic(self):
         # Q_3(sqrt 2) and Q_3(sqrt -1) are the same local field (-2 is a
         # 3-adic square); the model uses -1
-        assert counting.dicyclic_counts(3, (-1,)).count == 2
-        assert counting.dicyclic_counts(3, (3,)).count == 1
-        assert counting.dicyclic_counts(2, (-6,)).count == 1
+        assert counting.count_local("dicyclic", 3, (-1,)).count == 2
+        assert counting.count_local("dicyclic", 3, (3,)).count == 1
+        assert counting.count_local("dicyclic", 2, (-6,)).count == 1
 
 
 class TestStructuralProperties:
@@ -123,7 +157,7 @@ class TestStructuralProperties:
                 assert ctx.tree.apply(s, v).key() in keys
 
     def test_shell_structure_over_tower(self):
-        rep = counting.q8_counts(2, (-1, -3, 2))
+        rep = counting.count_local("q8", 2, (-1, -3, 2))
         center = Vertex(make_field(2, (-1, -3, 2)).zero, Fraction(-1, 2))
         from collections import Counter
         shells = Counter(distance(center, v) for v in rep.vertices)
@@ -161,7 +195,7 @@ class TestStructuralProperties:
             counting.CountingContext("scalars", amb, triv, scalars)
 
     def test_report_count_mismatch_is_internal_invariant(self):
-        rep = counting.q8_counts(2, (-3,))
+        rep = counting.count_local("q8", 2, (-3,))
         with pytest.raises(InternalInvariant):
             counting.IFReport(rep.group, rep.subfield_args, rep.ambient_args,
                               rep.e, rep.f, rep.count + 1, rep.vertices)
@@ -169,10 +203,10 @@ class TestStructuralProperties:
     def test_no_small_unramified_unit_is_field_too_small(self):
         # -3, -1, 2, 3, 5, 6, 7 and their negatives are all squares mod 1009
         with pytest.raises(FieldTooSmall):
-            counting.maximal_order_forms(1009, ())
+            counting.count_local("maxorder", 1009, ())
 
     def test_report_ids_are_canonical(self):
-        rep = counting.q8_counts(2, (-3,))
+        rep = counting.count_local("q8", 2, (-3,))
         assert len(rep.vertex_ids) == rep.count
         assert len(set(rep.vertex_ids)) == rep.count
 
@@ -202,15 +236,15 @@ class TestPermutedSqrtArgs:
             assert sum(v == w for w in other.vertices) == 1
 
     def test_full_tower_in_every_order(self):
-        ref = counting.q8_counts(2, (-1, -3, 2))
+        ref = counting.count_local("q8", 2, (-1, -3, 2))
         for args in itertools.permutations((-1, -3, 2)):
-            self._same_vertices(ref, counting.q8_counts(2, args))
+            self._same_vertices(ref, counting.count_local("q8", 2, args))
 
     def test_subfield_count_in_both_orders(self):
         # the ambient adds sqrt(-3), so both counts go through the subfield
         # test, against subfields (-1,2) and (2,-1) of different models
-        ref = counting.q8_counts(2, (-1, 2))
-        other = counting.q8_counts(2, (2, -1))
+        ref = counting.count_local("q8", 2, (-1, 2))
+        other = counting.count_local("q8", 2, (2, -1))
         assert ref.ambient_args == (-1, 2, -3)
         assert other.ambient_args == (2, -1, -3)
         self._same_vertices(ref, other)

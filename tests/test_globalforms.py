@@ -54,6 +54,11 @@ class TestClassGroups:
         for N in SQUAREFREE:
             C = class_group(N)
             assert C.h2() == genus_number(N), N
+            # h2 and squares read the composition table's diagonal;
+            # composing each form with itself is the path they replace
+            doubles = [compose(f, f) for f in C.elements]
+            assert C.h2() == doubles.count(C.identity), N
+            assert C.squares() == set(doubles), N
 
     def test_h2_examples(self):
         assert h2(class_group(5)) == 2
@@ -130,19 +135,16 @@ class TestGlobalCount:
         assert out["case"] == "b" and out["count"] == 4 * out["h2"] == 4
 
     def test_case_c_pair_and_resolution(self):
-        out5 = global_count(5, assert_existence=True,
-                            resolve_rep=case_c_example_rep(5))
+        out5 = global_count(5, assert_existence=True, resolve=True)
         assert out5["case"] == "c"
         assert out5["case_c_pair"] == (2, 6)
         assert out5["count"] == 6
-        out6 = global_count(6, assert_existence=True,
-                            resolve_rep=case_c_example_rep(6))
+        out6 = global_count(6, assert_existence=True, resolve=True)
         assert out6["case_c_pair"] == (2, 6) and out6["count"] == 2
 
     def test_resolution_stays_in_the_pair(self):
         for N in (5, 6):
-            out = global_count(N, assert_existence=True,
-                               resolve_rep=case_c_example_rep(N))
+            out = global_count(N, assert_existence=True, resolve=True)
             assert out["count"] in out["case_c_pair"]
 
     def test_ambiguous_residue_seven(self):
@@ -158,7 +160,22 @@ class TestGlobalCount:
         bad_i = MoebiusMap.from_rows(f, [[0, 1], [1, 0]])  # squares to +1
         _, j = case_c_example_rep(5)
         with pytest.raises(InvalidRepresentation):
-            resolve_case_c(5, (bad_i, j))
+            resolve_case_c((bad_i, j), 2)
+
+    def test_global_run_builds_one_class_group(self, monkeypatch, capsys):
+        from bttwist import cli
+        from bttwist.globalforms import ClassGroup
+        builds = []
+        init = ClassGroup.__init__
+
+        def counted(self, N):
+            builds.append(N)
+            init(self, N)
+
+        monkeypatch.setattr(ClassGroup, "__init__", counted)
+        assert cli.main(["global", "-N", "5", "--resolve"]) == 0
+        assert '"count": 6' in capsys.readouterr().out
+        assert builds == [5]
 
 
 def test_principal_form():
