@@ -13,7 +13,8 @@ import math
 from fractions import Fraction
 
 from .errors import (BadN, DyadicSplit, ExistenceFails, ExistenceUnknown,
-                     InternalInvariant, InvalidRepresentation, WrongResidue)
+                     InternalInvariant, InvalidRepresentation, NumberTooLarge,
+                     WrongResidue)
 from .padic import make_field, squarefree_part
 from .bttree import MoebiusMap, Vertex, distance
 from .enumerate import branch_vertices
@@ -158,6 +159,13 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     return QuadForm(a1 * a2, B, C).reduce()
 
 
+# The class group lists the reduced forms, a scan of O(|D|) pairs, and
+# composes every pair of its h classes.  h grows like sqrt(|D|): at
+# D = -999911, h = 1454 and the group takes about 30 s to build on a 2-CPU
+# host; ten times past the limit a build runs for minutes.
+CLASS_GROUP_DISC_LIMIT = 10 ** 6
+
+
 def reduced_forms(D: int) -> list:
     """All reduced positive-definite forms of discriminant D < 0."""
     if not (D < 0 and D % 4 in (0, 1)):
@@ -193,6 +201,10 @@ class ClassGroup:
     def __init__(self, N: int):
         self.N = N
         self.D = discriminant_of(N)
+        if -self.D > CLASS_GROUP_DISC_LIMIT:
+            raise NumberTooLarge(
+                f"the class group of discriminant {self.D} is too large to "
+                f"build: |D| is limited to {CLASS_GROUP_DISC_LIMIT}")
         self.elements = reduced_forms(self.D)
         self.identity = principal_form(self.D).reduce()
         if self.identity not in self.elements:

@@ -18,11 +18,16 @@ def _gauss_jordan(rows, ncols: int):
     """Bring rows (lists, changed in place) to reduced row echelon form on
     their first ncols columns; later columns ride along.  Returns the rank
     and the product of the pivots times the sign of the row swaps, which is
-    the determinant when the leading block is square and of full rank."""
+    the determinant when the leading block is square and of full rank.
+
+    Entries are tested against a zero of their own type, and a pivot row is
+    zero left of its pivot, so each step touches only the columns from the
+    pivot on."""
     rank, det = 0, 1
+    zero = rows[0][0] * 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
-                   None)
+        piv = next((r for r in range(rank, len(rows))
+                    if rows[r][col] != zero), None)
         if piv is None:
             continue
         if piv != rank:
@@ -31,11 +36,15 @@ def _gauss_jordan(rows, ncols: int):
         p = rows[rank][col]
         det = p * det
         inv = 1 / p
-        prow = rows[rank] = [x * inv for x in rows[rank]]
+        prow = rows[rank]
+        prow[col:] = [x * inv for x in prow[col:]]
+        tail = prow[col + 1:]
         for r, row in enumerate(rows):
-            if r != rank and row[col] != 0:
+            if r != rank and row[col] != zero:
                 f = row[col]
-                rows[r] = [x - f * y for x, y in zip(row, prow)]
+                row[col] = zero
+                row[col + 1:] = [x - f * y
+                                 for x, y in zip(row[col + 1:], tail)]
         rank += 1
     return rank, det
 
@@ -69,18 +78,26 @@ def mat_vec(m, v) -> list:
 def echelon(vectors, val) -> list:
     """A basis, over the valuation ring of val, of the lattice the vectors
     span: in each column the entry of least valuation pivots, so every
-    elimination step is unimodular."""
+    elimination step is unimodular.  Every vector left is zero before the
+    pivot column, so a step sets that column to zero and updates only the
+    columns to its right."""
     vecs = [list(v) for v in vectors]
     basis = []
-    for col in range(len(vecs[0]) if vecs else 0):
-        live = [(val(v[col]), i) for i, v in enumerate(vecs) if v[col] != 0]
+    if not vecs:
+        return basis
+    zero = vecs[0][0] * 0
+    for col in range(len(vecs[0])):
+        live = [(val(v[col]), i) for i, v in enumerate(vecs)
+                if v[col] != zero]
         if not live:
             continue
         pivot = vecs.pop(min(live)[1])
         inv = 1 / pivot[col]
+        tail = pivot[col + 1:]
         for v in vecs:
-            if v[col] != 0:
+            if v[col] != zero:
                 f = v[col] * inv
-                v[:] = [x - f * y for x, y in zip(v, pivot)]
+                v[col] = zero
+                v[col + 1:] = [x - f * y for x, y in zip(v[col + 1:], tail)]
         basis.append(tuple(pivot))
     return basis

@@ -23,7 +23,12 @@ from .quatalg import Matrix2
 
 class Cocycle:
     """A map sigma -> a_sigma into Moebius maps satisfying the cocycle law
-    a_{st} = a_s . s(a_t); verified exhaustively at construction."""
+    a_{st} = a_s . s(a_t); verified exhaustively at construction.
+
+    `scalar` holds the sigma whose a_sigma is a nonzero scalar matrix.  Such
+    a map is the identity in PGL_2: it fixes every vertex, and as a factor
+    of the law's product it drops out.  The law is still checked on every
+    pair, only without the product where a factor is scalar."""
 
     def __init__(self, field: LocalField, maps: dict):
         self.field = field
@@ -31,15 +36,27 @@ class Cocycle:
         for s in range(field.degree):
             if s not in self.maps:
                 raise ValueError("cocycle must be defined on every element")
+        self.scalar = frozenset(s for s in range(field.degree)
+                                if _is_scalar(self.maps[s]))
         for s in range(field.degree):
             for t in range(field.degree):
                 lhs = self.maps[s ^ t]
-                rhs = self.maps[s] * self.maps[t].galois(s)
+                if s in self.scalar:
+                    rhs = self.maps[t].galois(s)
+                elif t in self.scalar:
+                    rhs = self.maps[s]
+                else:
+                    rhs = self.maps[s] * self.maps[t].galois(s)
                 if not lhs.proj_eq(rhs):
                     raise CocycleLawViolated(f"law fails at ({s}, {t})")
 
     def __getitem__(self, sigma: int) -> MoebiusMap:
         return self.maps[sigma]
+
+
+def _is_scalar(m: MoebiusMap) -> bool:
+    return (m.b.is_zero() and m.c.is_zero() and not m.a.is_zero()
+            and m.a == m.d)
 
 
 def trivial_cocycle(field: LocalField) -> Cocycle:
@@ -72,13 +89,16 @@ class TwistedTree:
         self.cocycle = cocycle
 
     def apply(self, sigma: int, x):
-        """tau * x = a_tau(tau(x)) on vertices and boundary points."""
-        a = self.cocycle[sigma]
+        """tau * x = a_tau(tau(x)) on vertices and boundary points.  A
+        scalar a_tau fixes every vertex, midpoints included, so the image of
+        a vertex is then its conjugate, exactly as apply_vertex returns it."""
         if isinstance(x, Vertex):
             moved = Vertex(x.center.conj(sigma), x.level)
-            return a.apply_vertex(moved)
+            if sigma in self.cocycle.scalar:
+                return moved
+            return self.cocycle[sigma].apply_vertex(moved)
         x = BoundaryPoint.of(x)
-        return a.apply_boundary(x.galois(sigma))
+        return self.cocycle[sigma].apply_boundary(x.galois(sigma))
 
     def invariant(self, subgroup, v) -> bool:
         return all(self.apply(s, v) == v for s in subgroup)
@@ -139,8 +159,14 @@ def order_lattice_of_vertex(triv, v: Vertex):
 
 
 class SubfieldLattice:
-    """Per (L, E) machinery: an O_E-basis of O_L adapted to valuations, and
-    the decomposition of L over it."""
+    """Per (L, E) machinery: an O_E-basis mhat of O_L adapted to
+    valuations, and the decomposition of L over it.
+
+    mhat_s = pi_L^t u^s with 0 <= t < e(L/E) and u a unit, so v(mhat_s) lies
+    in [0, 1/e_E).  The subfield test bounds component s of a decomposition
+    by -v(mhat_s), and the least point of E's value group at or above that
+    bound is 0: the components enter the echelon as they are, with no
+    power of pi_E to multiply in.  The construction checks the valuations."""
 
     def __init__(self, sub: Subfield):
         self.sub = sub
@@ -162,6 +188,9 @@ class SubfieldLattice:
                      for ti in range(self.e_rel) for s in range(self.f_rel)]
         if len(self.mhat) != L.degree // E.degree:
             raise InternalInvariant(f"{len(self.mhat)} mhat for {sub}")
+        if not all(0 <= mh.valuation() * E.e < 1 for mh in self.mhat):
+            raise InternalInvariant(
+                f"an mhat valuation leaves [0, 1/e_E) for {sub}")
         # rational change of basis: columns are embed(E-monomial)*mhat;
         # its inverse is kept as integer rows over one denominator
         cols = [(sub.embed(E.monomial(em)) * mh).coords
@@ -215,14 +244,28 @@ class VertexOrder:
         """Rows of B^-1, where the columns of B are the quaternion
         coordinates of End(Lambda_v).  B = T^-1 Ad(M) with T's columns the
         trivialization basis and M = [[a, t], [1, 0]], so column j of
-        B^-1 = Ad(M^-1) T is M^-1 basis_j M."""
+        B^-1 = Ad(M^-1) T is M^-1 b_j M.  In closed form, for
+        b = [[p, q], [r, s]] that is
+
+            [[r a + s,                     r t  ],
+             [(p a + q - a (r a + s)) / t, p - a r]],
+
+        five products and no inverse: t = pi^n, and 1/t = pi^-n comes from
+        the field's cache of uniformizer powers."""
         f = self.v.field
-        M = Matrix2(self.v.center, f.scale_of_valuation(self.v.level),
-                    f.one, f.zero)
-        Minv = M.inv()
-        cols = [Minv * b * M for b in self.triv.basis]
-        return [[X.a for X in cols], [X.b for X in cols],
-                [X.c for X in cols], [X.d for X in cols]]
+        a, level = self.v.center, self.v.level
+        t = f.scale_of_valuation(level)
+        t_inv = f.scale_of_valuation(-level)
+        rows = ([], [], [], [])
+        for b in self.triv.basis:
+            p, q, r, s = b.a, b.b, b.c, b.d
+            ra = r * a
+            top = ra + s
+            rows[0].append(top)
+            rows[1].append(r * t)
+            rows[2].append((p * a + q - a * top) * t_inv)
+            rows[3].append(p - ra)
+        return list(rows)
 
     def in_subtree(self, sub: Subfield) -> bool:
         """Is the vertex a vertex of the twisted subtree of the subfield?
@@ -265,15 +308,12 @@ class VertexOrder:
         if E.e == L.e:
             return True  # L/E unramified (E = L included): v descends
         mach = sublattice_machinery(sub)
-        # one valuation-bounded E-functional per (matrix row, mhat component)
+        # one E-functional per (matrix row, mhat component): component s of
+        # the row's decomposition, unscaled, as its valuation bound
+        # -v(mhat_s) rounds up to 0 on E's grid (see SubfieldLattice)
         rows = []
         for binv_row in self.lattice_inverse:
-            parts = [mach.decompose(x) for x in binv_row]
-            for s, mh in enumerate(mach.mhat):
-                bound = -mh.valuation()
-                grid = math.ceil(bound * E.e)  # smallest E-grid point >= bound
-                piE = E.pi_pow(-grid)
-                rows.append([piE * part[s] for part in parts])
+            rows.extend(zip(*[mach.decompose(x) for x in binv_row]))
         G = echelon(rows, FieldElement.valuation)
         if len(G) < 4:
             return False

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -184,6 +185,17 @@ def test_unfactorable_discriminant_is_a_typed_error():
                    "--radius", "1", check=False, timeout=20)
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == "NumberTooLarge"
+
+
+def test_global_past_the_class_group_limit_is_a_typed_error():
+    # regression: the class group of discriminant -10000000019 was built as
+    # a table of h^2 compositions, and the command did not return
+    start = time.perf_counter()
+    proc = run_cli("global", "-N", "10000000019", check=False, timeout=20)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "NumberTooLarge"
+    assert elapsed < 1
 
 
 def test_vertex_cap_env():

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bttwist import globalforms
 from bttwist.errors import (BadN, DyadicSplit, ExistenceFails,
                             ExistenceUnknown, InvalidRepresentation,
-                            WrongResidue)
+                            NumberTooLarge, WrongResidue)
 from bttwist.globalforms import (QuadForm, case_c_example_rep,
                                  class_group, compose, discriminant_of,
                                  dyadic_class_square, genus_number,
@@ -65,6 +66,14 @@ class TestClassGroups:
         assert h2(class_group(1)) == 1
         assert h2(class_group(35)) == 2
         assert h2(class_group(30)) == 4
+
+    def test_discriminant_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(globalforms, "CLASS_GROUP_DISC_LIMIT", 20)
+        assert class_group(5).D == -20
+        with pytest.raises(NumberTooLarge):
+            class_group(6)  # D = -24
+        with pytest.raises(NumberTooLarge):
+            global_count(6, assert_existence=True)
 
     def test_bad_n(self):
         with pytest.raises(BadN):

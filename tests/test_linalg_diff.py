@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import linalg_oracle as old
 from bttwist.errors import InternalInvariant
 from bttwist.linalg import det, echelon, inverse, mat_vec, rank
-from bttwist.padic import FieldElement, make_field, vp_frac
+from bttwist.padic import FieldElement, LocalField, make_field, vp_frac
 from bttwist.twisted import sublattice_machinery
 
 FIELDS = [(), (-3,), (-3, 2), (-1, -3, 2)]
@@ -146,6 +146,27 @@ def test_decompose_matches_fraction_change_of_basis(args, data):
     got = mach.decompose(x)
     assert [y.coords for y in got] == [y.coords for y in want]
     assert got == want
+
+
+def test_pivot_tests_use_a_zero_of_the_entries_type(monkeypatch):
+    # an entry is tested against a zero of its own type: no model element is
+    # built from the int 0 for each entry that rank, det, inverse and the
+    # echelon test
+    f = make_field(2, (-1, -3, 2))
+    m = [[f.el([Fraction((3 * i + j + k) % 5 - 2, 1 + (i + k) % 3)
+                for k in range(f.degree)]) for j in range(4)]
+         for i in range(4)]
+    m[2][1] = f.zero
+    made = []
+    real = LocalField.from_rational
+    monkeypatch.setattr(LocalField, "from_rational",
+                        lambda self, x: made.append(x) or real(self, x))
+    rank(m)
+    det(m)
+    echelon(m, FieldElement.valuation)
+    if not det(m).is_zero():
+        inverse(m)
+    assert 0 not in made
 
 
 def test_singular_inverse_raises_internal_invariant():

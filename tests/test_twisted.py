@@ -63,6 +63,29 @@ class TestCocycles:
         with pytest.raises(CocycleLawViolated):
             Cocycle(F_UNRAM, bad)
 
+    @pytest.mark.parametrize("entries,pair", [
+        # a_1 = [[0, 1], [-1, 0]] squares to -1, so the pairs before (1, 2)
+        # hold; at (1, 2) the scalar a_2 leaves a_3 = 1 against a_1
+        ({1: [[0, 1], [-1, 0]], 2: [[2, 0], [0, 2]], 3: [[1, 0], [0, 1]]},
+         "(1, 2)"),
+        # a_1 = [[0, sqrt 2], [1, 0]] squares to sqrt 2; at (2, 1) the
+        # scalar a_2 leaves a_3 = a_1 against a_1 with sqrt 2 flipped
+        ({1: [[0, "r"], [1, 0]], 2: [[3, 0], [0, 3]], 3: [[0, "r"], [1, 0]]},
+         "(2, 1)"),
+    ])
+    def test_law_checked_on_pairs_with_a_scalar_factor(self, entries, pair):
+        # a scalar value skips the law's product, never the pair
+        F = make_field(2, (-3, 2))
+        r = F.sqrt_of(2)
+        maps = {0: MoebiusMap.identity(F)}
+        for s, rows in entries.items():
+            maps[s] = MoebiusMap.from_rows(
+                F, [[r if x == "r" else x for x in row] for row in rows])
+        assert twisted._is_scalar(maps[2])
+        with pytest.raises(CocycleLawViolated) as err:
+            Cocycle(F, maps)
+        assert pair in str(err.value)
+
 
 class TestTwistedAction:
     def test_swaps_zero_and_infinity(self):
