@@ -295,7 +295,16 @@ class VertexOrder:
         return inside
 
     def _decide(self, sub: Subfield) -> bool:
-        """`in_subtree` for a subfield the memo cannot answer."""
+        """`in_subtree` for a subfield the memo cannot answer.
+
+        Midpoints, vertices the twisted action moves and levels off E's
+        value group are outside; unramified L/E descends.  For ramified
+        L/E, each entry of B^-1 is decomposed over the mhat basis, and
+        component s of the entries of one row is one echelon row: an
+        E-functional, and the E-rational part of the order is where all of
+        them are integral (SubfieldLattice shows why no component needs
+        scaling).  The echelon's pivots give that part's volume, compared
+        with the order's."""
         L = self.tree.field
         E = sub.field
         level = self.v.level
@@ -308,9 +317,7 @@ class VertexOrder:
         if E.e == L.e:
             return True  # L/E unramified (E = L included): v descends
         mach = sublattice_machinery(sub)
-        # one E-functional per (matrix row, mhat component): component s of
-        # the row's decomposition, unscaled, as its valuation bound
-        # -v(mhat_s) rounds up to 0 on E's grid (see SubfieldLattice)
+        # one E-functional per (matrix row, mhat component)
         rows = []
         for binv_row in self.lattice_inverse:
             rows.extend(zip(*[mach.decompose(x) for x in binv_row]))
