@@ -199,13 +199,6 @@ def neighbors(v: Vertex) -> list:
     return out
 
 
-def same_type(v: Vertex, w: Vertex) -> bool:
-    """Vertices of the same type: their distance is an even multiple of the
-    base step.  Unit-determinant Moebius maps preserve the type."""
-    d = distance(v, w) * v.field.e
-    return d.denominator == 1 and int(d) % 2 == 0
-
-
 class Window:
     """All vertices within distance R of a center, via neighbor expansion."""
 
@@ -359,13 +352,6 @@ class MoebiusMap:
 
     def __repr__(self):
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
-
-
-def lattice_of_vertex(v: Vertex):
-    """Basis ((a,1),(t,0)) of a lattice in the homothety class of v."""
-    f = v.field
-    t = f.scale_of_valuation(v.level)
-    return ((v.center, f.one), (t, f.zero))
 
 
 def std_map(field: LocalField, xi1: BoundaryPoint, xi2: BoundaryPoint) -> MoebiusMap:
@@ -579,11 +565,6 @@ class Horoball(ConvexSubtree):
 
     def __repr__(self):
         return f"Horoball(level={self.level} at {self.boundary_point()!r})"
-
-
-def standard_horoball(field, level) -> Horoball:
-    """All balls of radius |pi|^level or more (level 0 gives F_0)."""
-    return Horoball(field, MoebiusMap.identity(field), level)
 
 
 def tubular(S: ConvexSubtree, w) -> ConvexSubtree:

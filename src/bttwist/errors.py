@@ -35,10 +35,6 @@ class NumberTooLarge(BttwistError):
 
 
 # tree geometry
-class NoPeak(BttwistError):
-    pass
-
-
 class WindowTooLarge(BttwistError):
     pass
 
@@ -58,10 +54,6 @@ class CocycleLawViolated(BttwistError):
 
 
 class FieldTooSmall(BttwistError):
-    pass
-
-
-class NotIntegral(BttwistError):
     pass
 
 

@@ -1,7 +1,9 @@
 """Exact linear algebra over any field whose elements support + - * and
 division (Fraction, FieldElement): Gauss-Jordan elimination for rank and
-inverse, determinant by elimination, and echelon bases over a valuation ring
-(H. Cohen, A Course in Computational Algebraic Number Theory, ch. 2).
+inverse, and determinant by elimination (H. Cohen, A Course in
+Computational Algebraic Number Theory, ch. 2).  Over the valuation ring of
+a model field, `pivot_valuation_sum` gives the volume of a lattice by
+fraction-free elimination on integer vectors.
 
 Matrices are sequences of rows.  Entries are Fractions or elements of one
 model field, never plain ints, whose quotients would be floats.
@@ -9,9 +11,11 @@ model field, never plain ints, whose quotients would be floats.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 
 from .errors import InternalInvariant
+from .padic import vp_int
 
 
 def _gauss_jordan(rows, ncols: int):
@@ -75,29 +79,59 @@ def mat_vec(m, v) -> list:
     return [sum(map(mul, row[1:], v[1:]), row[0] * v[0]) for row in m]
 
 
-def echelon(vectors, val) -> list:
-    """A basis, over the valuation ring of val, of the lattice the vectors
-    span: in each column the entry of least valuation pivots, so every
-    elimination step is unimodular.  Every vector left is zero before the
-    pivot column, so a step sets that column to zero and updates only the
-    columns to its right."""
-    vecs = [list(v) for v in vectors]
-    basis = []
-    if not vecs:
-        return basis
-    zero = vecs[0][0] * 0
-    for col in range(len(vecs[0])):
-        live = [(val(v[col]), i) for i, v in enumerate(vecs)
-                if v[col] != zero]
-        if not live:
-            continue
-        pivot = vecs.pop(min(live)[1])
-        inv = 1 / pivot[col]
-        tail = pivot[col + 1:]
-        for v in vecs:
-            if v[col] != zero:
-                f = v[col] * inv
-                v[col] = zero
-                v[col + 1:] = [x - f * y for x, y in zip(v[col + 1:], tail)]
-        basis.append(tuple(pivot))
-    return basis
+def pivot_valuation_sum(field, rows, scales):
+    """n times the sum of the pivot valuations of an echelon basis, over
+    the valuation ring of the model field, of the lattice the rows span
+    (n = [field : Q_p]); None if their rank is below their width.
+
+    Row i is rows[i] / scales[i]: one integer numerator vector per entry
+    over a positive integer scale.  The elimination is fraction free
+    (E. H. Bareiss, Math. Comp. 22, 1968).  A row is kept as integer
+    vectors and an offset, n v of its scale, so an entry's valuation in
+    units of 1/n is vp(N(entry)) - offset, N the integer norm down the
+    tower.  In each column the entry of least valuation pivots, and a row
+    becomes P row - row[col] pivot row: the unimodular step of the echelon
+    times the pivot P, so its offset grows by n v(P).  A row's p-power
+    content is divided out, its offset lowered to match, and a zero row
+    is dropped.  The sum is the lattice's volume, whichever entry wins a
+    tie."""
+    p, n = field.p, field.degree
+    fmul, norm = field._mul, field._tower_norm
+    live = []
+    for row, scale in zip(rows, scales):
+        _keep(live, list(row), n * vp_int(scale, p), p, n)
+    width = len(rows[0]) if rows else 0
+    total = 0
+    for col in range(width):
+        vals = [(vp_int(norm(row[0], False)[0], p) - off, k)
+                for k, (row, off) in enumerate(live) if any(row[0])]
+        if not vals:
+            return None
+        val, k = min(vals)
+        total += val
+        if col == width - 1:
+            break
+        (pivot, *ptail), poff = live.pop(k)
+        grow = val + poff  # n v(P)
+        rest, live = live, []
+        for (f, *tail), off in rest:
+            if any(f):
+                _keep(live, [tuple([x - y for x, y in zip(fmul(pivot, a),
+                                                          fmul(f, b))])
+                             for a, b in zip(tail, ptail)], off + grow, p, n)
+            else:
+                live.append((tail, off))
+    return total
+
+
+def _keep(live, row, off, p, n):
+    """Append (row, off) to live without the row's p-power content, its
+    offset lowered to match; a zero row is dropped."""
+    g = gcd(*[c for x in row for c in x])
+    if g:
+        k = vp_int(g, p)
+        if k:
+            q = p ** k
+            row = [tuple([c // q for c in x]) for x in row]
+            off -= n * k
+        live.append((row, off))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
 
 from .errors import (DivisionByZero, InternalInvariant, NotPrime,
                      NotSquareFree, NumberTooLarge, SplitPrime, ZeroInput)
@@ -772,18 +771,6 @@ def _reduced(field: LocalField, num: tuple, den: int) -> FieldElement:
             num = tuple([a // g for a in num])
             den //= g
     return _element(field, num, den)
-
-
-def rational_image(rows, den: int, x: FieldElement,
-                   target: LocalField) -> list:
-    """(rows / den) . x.coords for integer rows, cut into consecutive
-    elements of target; computed on x's integer numerator, with no Fraction
-    coordinates built."""
-    y = [sum(map(mul, row, x.num)) for row in rows]
-    den *= x.den
-    n = target.degree
-    return [_reduced(target, tuple(y[i:i + n]), den)
-            for i in range(0, len(y), n)]
 
 
 def element_sqrt(x: FieldElement):

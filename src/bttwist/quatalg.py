@@ -1,9 +1,7 @@
-"""Quaternion algebras: arithmetic, the standard finite groups, matrix
-trivializations over splitting fields, and maximality of orders.
+"""Quaternion algebras: arithmetic, the standard finite groups, the local
+Hilbert symbol and matrix trivializations over splitting fields.
 
 An algebra (a, b) has basis 1, i, j, k with i^2 = a, j^2 = b, ij = -ji = k.
-Orders are O-lattices closed under multiplication; maximality is decided by
-the reduced discriminant against the Hilbert symbol of the algebra.
 """
 
 from __future__ import annotations
@@ -12,11 +10,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (DivisionByZero, FieldTooSmall, InternalInvariant,
-                     NotIntegral, ZeroInput)
+                     ZeroInput)
 from .padic import (FieldElement, LocalField, legendre, rational_sqrt,
-                    squarefree_part, vp_frac, vp_int)
+                    squarefree_part, vp_int)
 from .bttree import MoebiusMap
-from .linalg import det, echelon, inverse, mat_vec
+from .linalg import det, inverse, mat_vec
 
 Matrix2 = MoebiusMap
 
@@ -120,24 +118,6 @@ def quat(alg, x0=0, x1=0, x2=0, x3=0) -> Quaternion:
     return Quaternion(alg, (x0, x1, x2, x3))
 
 
-def mulclose(gens, cap=2000):
-    """Multiplicative closure of a set of invertible quaternions."""
-    seen = {g for g in gens}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in list(seen):
-                for prod in (g * h, h * g):
-                    if prod not in seen:
-                        seen.add(prod)
-                        new.append(prod)
-                        if len(seen) > cap:
-                            raise NotIntegral("group closure exceeded cap")
-        frontier = new
-    return seen
-
-
 # -- the standard groups ------------------------------------------------------
 
 HAMILTON = QuaternionAlgebra(Fraction(-1), Fraction(-1))
@@ -208,10 +188,6 @@ def hilbert_symbol(a: Fraction, b: Fraction, p: int) -> int:
 
 def _leg_frac(u: Fraction, p: int) -> int:
     return legendre(u.numerator * pow(u.denominator, -1, p) % p, p)
-
-
-def is_division_at(alg: QuaternionAlgebra, p: int) -> bool:
-    return hilbert_symbol(alg.a, alg.b, p) == -1
 
 
 # -- trivializations -----------------------------------------------------------
@@ -460,44 +436,3 @@ def _phi(q: Quaternion) -> Quaternion:
     for c, base in zip(q.x, _PHI_BASIS):
         out = out + base * c
     return out
-
-
-# -- orders and maximality -------------------------------------------------------
-
-
-def order_closure(alg: QuaternionAlgebra, gens, p: int):
-    """Multiplicative closure of Z_(p)[gens] as a lattice, plus maximality.
-
-    Iterates products until the lattice stabilizes; maximality holds iff the
-    reduced discriminant matches the algebra's (unit for split, p^2 in the
-    Gram determinant for division)."""
-    one = quat(alg, 1)
-    for g in gens:
-        if vp_frac(g.trd(), p) < 0 or vp_frac(g.nrd(), p) < 0:
-            raise NotIntegral(f"generator {g} is not integral at {p}")
-
-    def val(x):
-        return vp_frac(x, p)
-
-    basis = echelon([one.x] + [g.x for g in gens], val)
-    while True:
-        prods = [Quaternion(alg, b1) * Quaternion(alg, b2)
-                 for b1 in basis for b2 in basis]
-        new_basis = echelon(list(basis) + [q.x for q in prods], val)
-        if _same_lattice(p, basis, new_basis):
-            break
-        basis = new_basis
-    if len(basis) < 4:
-        raise NotIntegral("generators do not span the algebra")
-    qb = [Quaternion(alg, b) for b in basis]
-    gram = [[(qb[i] * qb[j]).trd() for j in range(4)] for i in range(4)]
-    v = vp_frac(det(gram), p)
-    target = 2 if is_division_at(alg, p) else 0
-    return basis, v == target, v
-
-
-def _same_lattice(p, b1, b2):
-    # the closure only grows, so equal volumes mean equal lattices
-    if len(b1) != len(b2):
-        return False
-    return len(b1) < 4 or vp_frac(det(b1), p) == vp_frac(det(b2), p)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import CocycleLawViolated, InternalInvariant
-from .padic import (FieldElement, LocalField, Subfield, parity,
-                    rational_image, xor_basis)
+from .padic import LocalField, Subfield, parity, xor_basis
 from .bttree import BoundaryPoint, MoebiusMap, Vertex
-from .linalg import echelon, inverse
+from .linalg import inverse, pivot_valuation_sum
 from .quatalg import Matrix2
 
 
@@ -160,7 +160,7 @@ def order_lattice_of_vertex(triv, v: Vertex):
 
 class SubfieldLattice:
     """Per (L, E) machinery: an O_E-basis mhat of O_L adapted to
-    valuations, and the decomposition of L over it.
+    valuations, and the subfield test's E-functionals over it.
 
     mhat_s = pi_L^t u^s with 0 <= t < e(L/E) and u a unit, so v(mhat_s) lies
     in [0, 1/e_E).  The subfield test bounds component s of a decomposition
@@ -200,19 +200,46 @@ class SubfieldLattice:
         self._rows = tuple(tuple(int(c * self._den) for c in row)
                            for row in to_mhat)
 
-    def decompose(self, x: FieldElement):
-        """x = sum_s mhat_s * y_s with y_s in the subfield model."""
-        return rational_image(self._rows, self._den, x, self.E)
+    def functionals(self, matrix):
+        """The echelon rows for the rows of a matrix over L, as the integer
+        vectors and scales that `pivot_valuation_sum` takes.  Writing each
+        entry x = sum_s mhat_s * y_s with y_s in E, component s of the
+        entries of one matrix row is one echelon row.  The change of basis
+        acts on each entry's integer numerator, and a matrix row's entries
+        are brought to the lcm of their denominators, so that row's
+        components share one scale."""
+        n = self.E.degree
+        width = len(self._rows)
+        rows, scales = [], []
+        for xs in matrix:
+            den = math.lcm(*(x.den for x in xs))
+            images = []
+            for x in xs:
+                k = den // x.den
+                num = x.num if k == 1 else [k * c for c in x.num]
+                images.append([sum(map(mul, r, num)) for r in self._rows])
+            for s in range(0, width, n):
+                rows.append([tuple(y[s:s + n]) for y in images])
+            scales.extend([den * self._den] * (width // n))
+        return rows, scales
 
 
 # keyed by the Subfield itself: the key holds its parent field alive
 _SUBLATTICE_CACHE: dict = {}
+_FIXING_GENERATORS: dict = {}
 
 
 def sublattice_machinery(sub: Subfield) -> SubfieldLattice:
     if sub not in _SUBLATTICE_CACHE:
         _SUBLATTICE_CACHE[sub] = SubfieldLattice(sub)
     return _SUBLATTICE_CACHE[sub]
+
+
+def fixing_generators(sub: Subfield) -> list:
+    """Independent generators of the Galois masks fixing the subfield."""
+    if sub not in _FIXING_GENERATORS:
+        _FIXING_GENERATORS[sub] = xor_basis(sub.fixing_masks())
+    return _FIXING_GENERATORS[sub]
 
 
 class VertexOrder:
@@ -226,18 +253,35 @@ class VertexOrder:
         self.tree = tree
         self.triv = triv
         self.v = v
-        self._fixed = {}
+        self._fixed = {0: True}
+        self._stabilizer = [0]  # the masks known to fix v: a subgroup
         self._outside = []  # spans of the subfields v was found outside
 
     def fixed_by(self, sigma: int) -> bool:
-        if sigma not in self._fixed:
-            self._fixed[sigma] = self.tree.apply(sigma, self.v) == self.v
-        return self._fixed[sigma]
+        """Does sigma fix v under the twisted action?  By the cocycle law
+        the action is a group action, so the stabilizer of v is a subgroup
+        of the elementary abelian Galois group: for k in it, sigma fixes v
+        iff sigma ^ k does.  An answer known for some sigma ^ k is reused,
+        and a sigma found to fix v adds sigma ^ k to the stabilizer for
+        every k already in it, so the action is computed only for masks
+        in no known coset."""
+        fixed = self._fixed
+        if sigma not in fixed:
+            stab = self._stabilizer
+            if any(sigma ^ k in fixed for k in stab):
+                fixed[sigma] = False  # that sigma ^ k is outside stab
+            elif self.tree.apply(sigma, self.v) == self.v:
+                coset = [sigma ^ k for k in stab]
+                fixed.update(dict.fromkeys(coset, True))
+                stab.extend(coset)
+            else:
+                fixed[sigma] = False
+        return fixed[sigma]
 
     def invariant(self, masks) -> bool:
         """Is v fixed by the group of these Galois masks?  The twisted action
         is a group action, so generators of the group suffice."""
-        return all(self.fixed_by(s) for s in xor_basis(masks))
+        return all(map(self.fixed_by, xor_basis(masks)))
 
     @cached_property
     def lattice_inverse(self) -> list:
@@ -298,38 +342,38 @@ class VertexOrder:
         """`in_subtree` for a subfield the memo cannot answer.
 
         Midpoints, vertices the twisted action moves and levels off E's
-        value group are outside; unramified L/E descends.  For ramified
-        L/E, each entry of B^-1 is decomposed over the mhat basis, and
-        component s of the entries of one row is one echelon row: an
-        E-functional, and the E-rational part of the order is where all of
-        them are integral (SubfieldLattice shows why no component needs
-        scaling).  The echelon's pivots give that part's volume, compared
-        with the order's."""
+        value group are outside; unramified L/E descends.  Invariance is
+        asked of the subfield's fixing generators, cached per subfield.
+        For ramified L/E, each entry of B^-1 is decomposed over the mhat
+        basis, and component s of the entries of one row is one echelon
+        row: an E-functional, and the E-rational part of the order is where
+        all of them are integral (SubfieldLattice shows why no component
+        needs scaling).  The rows' echelon over O_E is never built:
+        `pivot_valuation_sum` eliminates on their integer vectors and
+        gives n = [E : Q_p] times the sum of its pivot valuations, or None
+        below full rank.
+
+        The dual lattice {x : <g, x> integral for all g in the echelon G}
+        is spanned by the columns of G^-1, and G is triangular with its
+        pivots on the diagonal, so the dual volume is minus the pivot
+        sum; the order's volume is v(det B) = -v(det T) at every vertex,
+        as det Ad(M) = 1."""
         L = self.tree.field
         E = sub.field
         level = self.v.level
         if (level * L.e).denominator != 1:
             return False  # midpoints never carry an O_L-order
-        if not self.invariant(sub.fixing_masks()):
+        if not all(map(self.fixed_by, fixing_generators(sub))):
             return False
         if (level * E.e).denominator != 1:
             return False  # level not in the subfield's value group
         if E.e == L.e:
             return True  # L/E unramified (E = L included): v descends
-        mach = sublattice_machinery(sub)
-        # one E-functional per (matrix row, mhat component)
-        rows = []
-        for binv_row in self.lattice_inverse:
-            rows.extend(zip(*[mach.decompose(x) for x in binv_row]))
-        G = echelon(rows, FieldElement.valuation)
-        if len(G) < 4:
-            return False
-        # the dual lattice {x : <g, x> integral for all g in G} is spanned by
-        # the columns of G^-1.  G is upper triangular with its pivots on the
-        # diagonal, so the dual volume is -sum v(G[k][k]); the order's volume
-        # is v(det B) = -v(det T) at every vertex, as det Ad(M) = 1
-        return (sum(G[k][k].valuation() for k in range(4))
-                == self.triv.basis_valuation)
+        rows, scales = sublattice_machinery(sub).functionals(
+            self.lattice_inverse)
+        total = pivot_valuation_sum(E, rows, scales)
+        return (total is not None
+                and total == E.degree * self.triv.basis_valuation)
 
 
 def subfield_vertex_test(tree: TwistedTree, triv, v: Vertex,

@@ -16,8 +16,12 @@ from bttwist.bttree import (EMPTY, NEG_INFINITY, WHOLE, BoundaryEnd,
                             BoundaryPoint, ConvexSubtree, EmptyTree, Horoball,
                             Tube, Vertex, VertexEnd, WholeTree, _clamp,
                             distance, tube)
-from bttwist.errors import NoPeak
+from bttwist.errors import BttwistError
 from bttwist.padic import INFINITY
+
+
+class NoPeak(BttwistError):
+    """Two boundary points span no path with a peak."""
 
 
 def branch_of_family(qs, field):

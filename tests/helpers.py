@@ -7,6 +7,28 @@ from bttwist.bttree import (BoundaryEnd, BoundaryPoint, Horoball, MoebiusMap,
                             Vertex, ball, distance, line, tube, VertexEnd)
 
 
+# -- tree helpers the tests use and the program does not ----------------
+
+
+def same_type(v: Vertex, w: Vertex) -> bool:
+    """Vertices of the same type: their distance is an even multiple of the
+    base step.  Unit-determinant Moebius maps preserve the type."""
+    d = distance(v, w) * v.field.e
+    return d.denominator == 1 and int(d) % 2 == 0
+
+
+def lattice_of_vertex(v: Vertex):
+    """Basis ((a,1),(t,0)) of a lattice in the homothety class of v."""
+    f = v.field
+    t = f.scale_of_valuation(v.level)
+    return ((v.center, f.one), (t, f.zero))
+
+
+def standard_horoball(field, level) -> Horoball:
+    """All balls of radius |pi|^level or more (level 0 gives F_0)."""
+    return Horoball(field, MoebiusMap.identity(field), level)
+
+
 def rand_elt(fld, rng, span=4, dens=(1, 2)):
     coords = [Fraction(rng.randint(-span, span), rng.choice(dens))
               for _ in range(fld.degree)]

@@ -1,5 +1,6 @@
 """The hand-written eliminations that `bttwist.linalg` replaced, kept as
-test-only oracles.
+test-only oracles, and the valuation echelon that
+`bttwist.linalg.pivot_valuation_sum` replaced.
 
 Each is copied from the module it lived in, with only its imports moved to
 the top: Gauss-Jordan rank, solve and inverse over a model field (`_rank4`,
@@ -8,7 +9,11 @@ the two valuation-pivoting echelons, the two 24-permutation Leibniz
 determinants, and `_mat_vec`.  The field versions test for zero with
 `is_zero()` and invert with `inv()`, so they take `FieldElement`s only; the
 rational ones take `Fraction`s.  A singular matrix escapes from the
-inverses and the solve as `StopIteration`."""
+inverses and the solve as `StopIteration`.
+
+`echelon` is the one elimination here that takes either kind of entry: it
+was `bttwist.linalg.echelon`, and its pivots are the oracle of the
+fraction-free kernel."""
 
 import itertools
 from fractions import Fraction
@@ -176,3 +181,34 @@ def _invert_field_4(field, rows_or_vecs):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+# -- from linalg.py -------------------------------------------------------
+
+
+def echelon(vectors, val) -> list:
+    """A basis, over the valuation ring of val, of the lattice the vectors
+    span: in each column the entry of least valuation pivots, so every
+    elimination step is unimodular.  Every vector left is zero before the
+    pivot column, so a step sets that column to zero and updates only the
+    columns to its right."""
+    vecs = [list(v) for v in vectors]
+    basis = []
+    if not vecs:
+        return basis
+    zero = vecs[0][0] * 0
+    for col in range(len(vecs[0])):
+        live = [(val(v[col]), i) for i, v in enumerate(vecs)
+                if v[col] != zero]
+        if not live:
+            continue
+        pivot = vecs.pop(min(live)[1])
+        inv = 1 / pivot[col]
+        tail = pivot[col + 1:]
+        for v in vecs:
+            if v[col] != zero:
+                f = v[col] * inv
+                v[col] = zero
+                v[col + 1:] = [x - f * y for x, y in zip(v[col + 1:], tail)]
+        basis.append(tuple(pivot))
+    return basis

@@ -5,13 +5,36 @@ Copied from `twisted.py` with only its imports moved to the top.  For every
 (vertex, subfield) pair it rebuilds the vertex's order lattice B through
 `matrix_coords`, inverts it, tests twisted invariance under every element of
 the fixing group, and compares det(B) with the determinant of the dual of
-the E-rational sublattice, embedded back into the ambient field."""
+the E-rational sublattice, embedded back into the ambient field.
+
+`decompose` (with `rational_image`) is the decomposition over the mhat
+basis as `SubfieldLattice.decompose` gave it, one element of E per
+component, before the subfield test took the components as integer vectors
+(`SubfieldLattice.functionals`)."""
 
 import math
+from operator import mul
 
-from bttwist.linalg import det, echelon, inverse
-from bttwist.padic import FieldElement
+from bttwist.linalg import det, inverse
+from bttwist.padic import FieldElement, _reduced
 from bttwist.twisted import order_lattice_of_vertex, sublattice_machinery
+from linalg_oracle import echelon
+
+
+def rational_image(rows, den: int, x: FieldElement, target) -> list:
+    """(rows / den) . x.coords for integer rows, cut into consecutive
+    elements of target; computed on x's integer numerator, with no Fraction
+    coordinates built."""
+    y = [sum(map(mul, row, x.num)) for row in rows]
+    den *= x.den
+    n = target.degree
+    return [_reduced(target, tuple(y[i:i + n]), den)
+            for i in range(0, len(y), n)]
+
+
+def decompose(mach, x: FieldElement):
+    """x = sum_s mhat_s * y_s with y_s in the subfield model."""
+    return rational_image(mach._rows, mach._den, x, mach.E)
 
 
 def subfield_vertex_test(tree, triv, v, sub) -> bool:
@@ -33,7 +56,7 @@ def subfield_vertex_test(tree, triv, v, sub) -> bool:
     # one valuation-bounded E-functional per (matrix row, mhat component)
     rows = []
     for i in range(4):
-        parts = [mach.decompose(Binv[i][j]) for j in range(4)]
+        parts = [decompose(mach, Binv[i][j]) for j in range(4)]
         for s, mh in enumerate(mach.mhat):
             bound = -mh.valuation()
             grid = math.ceil(bound * E.e)  # smallest E-grid point >= bound

@@ -3,17 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from bttwist.errors import InternalInvariant, NoPeak, WindowTooLarge
+from bttwist.errors import InternalInvariant, WindowTooLarge
 from bttwist.padic import make_field
 from bttwist.bttree import (BoundaryPoint, MoebiusMap,
                             Vertex, VertexEnd, Window, ball, distance,
-                            e_vertex_test_untwisted, emit_dot,
-                            lattice_of_vertex, line, neighbors,
-                            same_type, standard_horoball, tube, tubular)
-from convex_oracle import Meet, intersect, peak
+                            e_vertex_test_untwisted, emit_dot, line,
+                            neighbors, tube, tubular)
+from convex_oracle import Meet, NoPeak, intersect, peak
 
-from helpers import contains_set, path_vertices, rand_convex, \
-    rand_moebius, rand_vertex
+from helpers import contains_set, lattice_of_vertex, path_vertices, \
+    rand_convex, rand_moebius, rand_vertex, same_type, standard_horoball
 
 Q2 = make_field(2, ())
 OMEGA = make_field(2, (-1, -3, 2))

@@ -187,6 +187,29 @@ def test_unfactorable_discriminant_is_a_typed_error():
     assert json.loads(proc.stderr)["error"] == "NumberTooLarge"
 
 
+def test_global_existence_unknown_without_a_class_group(monkeypatch,
+                                                        capsys):
+    # regression: -N 999911 (7 mod 8) built its class group of h = 1454,
+    # about 27 s, before it raised ExistenceUnknown
+    start = time.perf_counter()
+    proc = run_cli("global", "-N", "999911", check=False, timeout=20)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "ExistenceUnknown"
+    assert elapsed < 1
+    from bttwist.globalforms import ClassGroup
+    builds = []
+    init = ClassGroup.__init__
+    monkeypatch.setattr(ClassGroup, "__init__",
+                        lambda self, N: builds.append(N) or init(self, N))
+    assert cli.main(["global", "-N", "999911"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ExistenceUnknown"
+    assert builds == []
+    # the limit is still checked first: no input changes its error type
+    assert cli.main(["global", "-N", "100000007"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "NumberTooLarge"
+
+
 def test_global_past_the_class_group_limit_is_a_typed_error():
     # regression: the class group of discriminant -10000000019 was built as
     # a table of h^2 compositions, and the command did not return

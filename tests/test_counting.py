@@ -8,8 +8,9 @@ from bttwist.errors import (FieldTooSmall, InternalInvariant,
 from bttwist.padic import Subfield, make_field
 from bttwist.bttree import Vertex, distance
 from bttwist import enumerate as counting
-from bttwist.quatalg import maxorder_generators, order_closure
+from bttwist.quatalg import maxorder_generators
 from bttwist.twisted import subfield_vertex_test
+from orders import order_closure
 
 
 class TestQ8Local:

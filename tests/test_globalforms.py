@@ -11,6 +11,7 @@ from bttwist.globalforms import (QuadForm, case_c_example_rep,
                                  global_count, h2, principal_form,
                                  resolve_case_c, serre_existence)
 from bttwist.padic import squarefree_part
+from class_group_oracle import FullTableClassGroup
 
 
 SQUAREFREE = [n for n in range(1, 140) if squarefree_part(n)[0] == n]
@@ -60,6 +61,25 @@ class TestClassGroups:
             doubles = [compose(f, f) for f in C.elements]
             assert C.h2() == doubles.count(C.identity), N
             assert C.squares() == set(doubles), N
+
+    @pytest.mark.parametrize("N", [n for n in range(1, 61)
+                                   if squarefree_part(n)[0] == n]
+                             + [341, 479, 530])
+    def test_h2_and_squares_match_the_full_table(self, N):
+        # 341, 479 and 530 have h = 28, 25 and 28, past the full table
+        C, full = class_group(N), FullTableClassGroup(N)
+        assert (C.elements, C.identity) == (full.elements, full.identity)
+        assert C.h2() == full.h2()
+        assert C.squares() == full.squares()
+        assert (C.table is None) == (C.h > 24)
+
+    def test_large_group_composes_about_4h_pairs(self, monkeypatch):
+        calls = []
+        real = globalforms.compose
+        monkeypatch.setattr(globalforms, "compose",
+                            lambda f, g: calls.append(1) or real(f, g))
+        C = class_group(479)
+        assert C.h == 25 and len(calls) == 4 * C.h
 
     def test_h2_examples(self):
         assert h2(class_group(5)) == 2

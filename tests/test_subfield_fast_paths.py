@@ -1,7 +1,7 @@
 """The subfield test's fast paths against the expressions they replaced.
 
-- The subfield test's echelon rows are the components of
-  `SubfieldLattice.decompose` as they are; the oracle is each component
+- The subfield test's echelon rows are the components of the
+  decomposition over mhat as they are; the oracle is each component
   times the power of the subfield's uniformizer that its valuation bound
   asks for, which the basis mhat makes 1.
 - `TwistedTree.apply` returns the conjugate vertex itself where the
@@ -28,6 +28,7 @@ from bttwist.bttree import Vertex, Window
 from bttwist.padic import make_field
 from bttwist.quatalg import Matrix2
 from bttwist.twisted import VertexOrder, sublattice_machinery
+from subfield_test_oracle import decompose
 from test_branch_walk_diff import CASES  # the golden count-local cases
 
 # degree 2, 4 and 8 at p = 2, and a degree-4 field at p = 3 with e = f = 2
@@ -46,7 +47,7 @@ def scaled_by_products(mach, x):
     times pi_E^-grid, grid the least E-grid point >= -v(mhat_s)."""
     E = mach.E
     out = []
-    for s, part in enumerate(mach.decompose(x)):
+    for s, part in enumerate(decompose(mach, x)):
         grid = math.ceil(-mach.mhat[s].valuation() * E.e)
         out.append(E.pi_pow(-grid) * part)
     return out
@@ -61,7 +62,7 @@ def test_unscaled_components_match_the_scaled_rows(field, data):
                                 max_size=L.degree)))
     for sub in L.subfields():
         mach = sublattice_machinery(sub)
-        got = mach.decompose(x)
+        got = decompose(mach, x)
         want = scaled_by_products(mach, x)
         assert [(y.num, y.den) for y in got] == \
             [(y.num, y.den) for y in want], sub
