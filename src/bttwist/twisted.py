@@ -280,7 +280,8 @@ class VertexOrder:
 
     def invariant(self, masks) -> bool:
         """Is v fixed by the group of these Galois masks?  The twisted action
-        is a group action, so generators of the group suffice."""
+        is a group action, so `fixed_by` of an xor basis of them suffices
+        (`_decide` asks a subfield's cached basis directly)."""
         return all(map(self.fixed_by, xor_basis(masks)))
 
     @cached_property
