@@ -194,17 +194,21 @@ def lift_matrix(q: Matrix2, big: LocalField) -> Matrix2:
                    lift_element(q.c, big), lift_element(q.d, big))
 
 
-def branch_member(q: Matrix2, v: Vertex) -> bool:
-    """Integrality oracle: M^-1 q M has integral entries, M the vertex basis."""
-    f = v.field
-    a = v.center
+def conjugate_by_vertex(q: Matrix2, v: Vertex) -> tuple:
+    """M^-1 q M = [[x11, x12], [x21, x22]] as (x11, x12, x21, x22), where
+    M = [[t, a], [0, 1]] is the basis of the vertex B(a, r), t = pi^(r e)."""
+    f, a = v.field, v.center
     t = f.scale_of_valuation(v.level)
     t_inv = f.scale_of_valuation(-v.level)  # cached, like t
-    e11 = q.c * a + q.d
-    e12 = q.c * t
-    e21 = (q.b + (q.a - q.d) * a - q.c * a * a) * t_inv
-    e22 = q.a - a * q.c
-    for entry in (e11, e12, e21, e22):
+    ca = q.c * a
+    return (q.a - ca, (q.b + (q.a - q.d) * a - ca * a) * t_inv, q.c * t,
+            ca + q.d)
+
+
+def branch_member(q: Matrix2, v: Vertex) -> bool:
+    """Integrality oracle: M^-1 q M has integral entries, M the vertex basis."""
+    x11, x12, x21, x22 = conjugate_by_vertex(q, v)
+    for entry in (x22, x21, x12, x11):
         if entry.valuation() < 0:
             return False
     return True

@@ -287,20 +287,14 @@ class MoebiusMap:
         )
 
     def proj_eq(self, other: "MoebiusMap") -> bool:
-        """Equality in PGL_2 (up to scalars)."""
-        mine = [self.a, self.b, self.c, self.d]
-        theirs = [other.a, other.b, other.c, other.d]
-        lam = None
-        for x, y in zip(mine, theirs):
-            if x.is_zero() != y.is_zero():
-                return False
-            if not x.is_zero():
-                ratio = x / y
-                if lam is None:
-                    lam = ratio
-                elif not (lam == ratio):
-                    return False
-        return True
+        """Equality in PGL_2 (up to scalars): the same zero pattern, and
+        x y_k == y x_k for each entry pair against the first nonzero k."""
+        pairs = [(x, y) for x, y in zip((self.a, self.b, self.c, self.d),
+                                        (other.a, other.b, other.c, other.d))
+                 if not (x.is_zero() and y.is_zero())]
+        if any(x.is_zero() or y.is_zero() for x, y in pairs):
+            return False
+        return all(x * pairs[0][1] == y * pairs[0][0] for x, y in pairs[1:])
 
     def apply_boundary(self, x: BoundaryPoint) -> BoundaryPoint:
         if x.is_infinity:

@@ -5,8 +5,11 @@ For an absolutely irreducible representation the count over E is the number
 of vertices of the E-subtree whose maximal orders contain the group image.
 Everything runs in an ambient model field large enough to split the algebra
 and host the trivialization.  The branch is an intersection of subtrees, so
-it is convex and connected: a breadth-first walk finds its nearest vertex and
-a flood fill through members finds the rest.
+it is convex and connected: a breadth-first search with `branch_member`
+finds its nearest vertex, and a flood fill through members finds the rest.
+The neighbours of a vertex are the points of P^1 over the residue field (one
+up, one child per residue class), so the fill steps each member's images,
+conjugated into the vertex basis, to its neighbours without rebuilding them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import (FieldTooSmall, InternalInvariant,
                      WindowInsufficient)
 from .padic import LocalField, make_field, quad_ext_type
 from .bttree import MoebiusMap, Vertex, neighbors, vertex_cap
-from .branch import branch_member
+from .branch import branch_member, conjugate_by_vertex
 from .linalg import rank
 from .quatalg import (HAMILTON, QuaternionAlgebra, find_trivialization,
                       maxorder_generators, q8_trivialization, standard_groups)
@@ -137,32 +140,82 @@ def _unram_unit(p: int) -> int:
     raise FieldTooSmall(f"no small unramified unit found at p={p}")
 
 
-def branch_vertices(images, center: Vertex) -> list:
-    """The vertices whose maximal orders contain every image, in
-    breadth-first order from center.  The branch is convex, so the walk
-    searches outward to the nearest member and then flood-fills from it
-    through members only.  Every vertex tested counts against the vertex
-    cap; passing it raises WindowInsufficient."""
+def _search(images, center: Vertex):
+    """Breadth-first from center to the nearest member, asking
+    `branch_member`: (member, skip, tested) or None for a non-integral
+    image.  skip indexes in `neighbors(member)` the vertex the search came
+    from (None at the center); tested counts against the vertex cap."""
     # a matrix lies in some maximal order iff its trace and determinant are
     # integral, so a non-integral image has no branch to search for
     if any((m.a + m.d).valuation() < 0 or m.det().valuation() < 0
            for m in images):
-        return []
+        return None
     cap, tested = vertex_cap(), 0
-    members, queue = [], deque([(center, None)])
-    while queue:
-        v, parent = queue.popleft()
+    queue = deque([(center, None)])
+    while True:
+        v, skip = queue.popleft()
         tested += 1
         if tested > cap:
             raise WindowInsufficient(f"branch search exceeds vertex cap {cap}")
         if all(branch_member(m, v) for m in images):
-            if not members:
-                queue.clear()  # v is the nearest member: flood-fill from it
-            members.append(v)
-        elif members:
-            continue
-        queue.extend((n, v) for n in neighbors(v)
-                     if parent is None or n != parent)
+            return v, skip, tested
+        # v is the c = 0 child (index 1) of its up-neighbour (index 0 in
+        # neighbors(v)) and the up-neighbour of each of its children
+        queue.extend((n, 0 if i else 1) for i, n in enumerate(neighbors(v))
+                     if i != skip)
+
+
+def nearest_member(images, center: Vertex):
+    """The first member of the images' branch in breadth-first order from
+    center, or None for a non-integral image."""
+    found = _search(images, center)
+    return found and found[0]
+
+
+def branch_vertices(images, center: Vertex) -> list:
+    """The branch of the images in breadth-first order from center: a
+    flood fill through members from the nearest one.  Each vertex tested
+    counts against the vertex cap; passing it raises WindowInsufficient.
+
+    A member B(a, r) keeps X = M^-1 q M = [[x11, x12], [x21, x22]] for each
+    image q, M = [[t, a], [0, 1]], and decides each neighbour from X with
+    one valuation per image.  The child B(a + c t, r + 1/e), basis
+    M [[pi, c], [0, 1]], has X' = [[x11 - c x21, y / pi], [pi x21, x22 +
+    c x21]] with y = x12 + c (x11 - x22 - c x21): a member iff
+    v(y) >= 1/e.  The up-neighbour B(a, r - 1/e), basis M [[1/pi, 0],
+    [0, 1]], has X' = [[x11, pi x12], [x21 / pi, x22]]: a member iff
+    v(x21) >= 1/e.  The vertex a member came from is skipped by position."""
+    found = _search(images, center)
+    if found is None:
+        return []
+    v, skip, tested = found
+    f = v.field
+    cap, step = vertex_cap(), Fraction(1, f.e)
+    pi, pi_inv, reps = f.pi_pow(1), f.pi_pow(-1), f.residue_reps
+    members = []
+    queue = deque([(v, skip, [conjugate_by_vertex(m, v) for m in images])])
+    while queue:
+        v, skip, xs = queue.popleft()
+        members.append(v)
+        tested += (f.q + 1) - (skip is not None)
+        if tested > cap:
+            raise WindowInsufficient(f"branch search exceeds vertex cap {cap}")
+        if skip != 0 and all(x[2].valuation() >= step for x in xs):
+            queue.append((Vertex(v.center, v.level - step), 1,
+                          [(x11, x12 * pi, x21 * pi_inv, x22)
+                           for x11, x12, x21, x22 in xs]))
+        t = f.scale_of_valuation(v.level)
+        for c in reps[skip == 1:]:
+            child = []
+            for x11, x12, x21, x22 in xs:
+                cx21 = x21 * c
+                y = x12 + (x11 - x22 - cx21) * c
+                if y.valuation() < step:
+                    break
+                child.append((x11 - cx21, y * pi_inv, x21 * pi, x22 + cx21))
+            else:
+                queue.append((Vertex(v.center + c * t, v.level + step), 0,
+                              child))
     return members
 
 

@@ -17,7 +17,7 @@ from .errors import (BadN, DyadicSplit, ExistenceFails, ExistenceUnknown,
                      WrongResidue)
 from .padic import make_field, squarefree_part
 from .bttree import MoebiusMap, Vertex, distance
-from .enumerate import branch_vertices
+from .enumerate import nearest_member
 
 
 class QuadForm:
@@ -410,7 +410,7 @@ def resolve_case_c(rep, hh2: int) -> int:
         if (m.a + m.d).valuation() < 0 or m.det().valuation() < 0:
             raise InvalidRepresentation("image is not integral at the dyadic prime")
     v0 = Vertex(f.zero, Fraction(0))
-    dmin = distance(v0, branch_vertices([i_mat, j_mat], v0)[0])
+    dmin = distance(v0, nearest_member([i_mat, j_mat], v0))
     nu2 = f.from_rational(2).valuation()
     if dmin == nu2:
         return 3 * hh2

@@ -1,5 +1,5 @@
-"""Quaternion algebras: arithmetic, the standard finite groups, the local
-Hilbert symbol and matrix trivializations over splitting fields.
+"""Quaternion algebras: arithmetic, the standard finite groups and matrix
+trivializations over splitting fields.
 
 An algebra (a, b) has basis 1, i, j, k with i^2 = a, j^2 = b, ij = -ji = k.
 """
@@ -11,8 +11,7 @@ from functools import cached_property
 
 from .errors import (DivisionByZero, FieldTooSmall, InternalInvariant,
                      ZeroInput)
-from .padic import (FieldElement, LocalField, legendre, rational_sqrt,
-                    squarefree_part, vp_int)
+from .padic import FieldElement, LocalField, rational_sqrt, squarefree_part
 from .bttree import MoebiusMap
 from .linalg import det, inverse, mat_vec
 
@@ -147,47 +146,6 @@ def maxorder_generators(pi: int, delta: int):
     i = quat(alg, 0, 1, 0, 0)
     jm1 = quat(alg, Fraction(-1, 2), 0, Fraction(1, 2), 0)
     return alg, [i, jm1]
-
-
-# -- Hilbert symbol ------------------------------------------------------------
-
-
-def hilbert_symbol(a: Fraction, b: Fraction, p: int) -> int:
-    """(a, b)_p for nonzero rationals at a finite prime."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ZeroInput(f"Hilbert symbol of ({a}, {b}) at {p}")
-
-    def split(x):
-        v = vp_int(x.numerator, p) - vp_int(x.denominator, p)
-        u = x / Fraction(p) ** v
-        return v, u
-
-    al, u = split(a)
-    be, v = split(b)
-    if p != 2:
-        eps = (p - 1) // 2
-        sign = (-1) ** (al * be * eps)
-        s = sign
-        if be % 2:
-            s *= _leg_frac(u, p)
-        if al % 2:
-            s *= _leg_frac(v, p)
-        return s
-
-    def eps2(x):  # (x-1)/2 mod 2 for odd rational x
-        return ((x.numerator * pow(x.denominator, -1, 8) % 8) - 1) // 2 % 2
-
-    def omega(x):  # (x^2-1)/8 mod 2
-        m = x.numerator * pow(x.denominator, -1, 16) % 16
-        return (m * m - 1) // 8 % 2
-
-    exp = eps2(u) * eps2(v) + al * omega(v) + be * omega(u)
-    return (-1) ** (exp % 2)
-
-
-def _leg_frac(u: Fraction, p: int) -> int:
-    return legendre(u.numerator * pow(u.denominator, -1, p) % p, p)
 
 
 # -- trivializations -----------------------------------------------------------

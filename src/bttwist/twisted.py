@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .errors import CocycleLawViolated, InternalInvariant
 from .padic import LocalField, Subfield, parity, xor_basis
 from .bttree import BoundaryPoint, MoebiusMap, Vertex
+from .branch import conjugate_by_vertex
 from .linalg import inverse, pivot_valuation_sum
 from .quatalg import Matrix2
 
@@ -192,13 +192,16 @@ class SubfieldLattice:
             raise InternalInvariant(
                 f"an mhat valuation leaves [0, 1/e_E) for {sub}")
         # rational change of basis: columns are embed(E-monomial)*mhat;
-        # its inverse is kept as integer rows over one denominator
+        # its inverse is kept over one denominator as sparse integer
+        # columns, the (row, value) pairs of each column's nonzero entries
         cols = [(sub.embed(E.monomial(em)) * mh).coords
                 for mh in self.mhat for em in range(E.degree)]
         to_mhat = inverse(list(zip(*cols)))
         self._den = math.lcm(*(c.denominator for row in to_mhat for c in row))
-        self._rows = tuple(tuple(int(c * self._den) for c in row)
-                           for row in to_mhat)
+        self._cols = tuple(
+            tuple([(i, int(row[j] * self._den))
+                   for i, row in enumerate(to_mhat) if row[j]])
+            for j in range(len(to_mhat)))
 
     def functionals(self, matrix):
         """The echelon rows for the rows of a matrix over L, as the integer
@@ -207,17 +210,22 @@ class SubfieldLattice:
         entries of one matrix row is one echelon row.  The change of basis
         acts on each entry's integer numerator, and a matrix row's entries
         are brought to the lcm of their denominators, so that row's
-        components share one scale."""
-        n = self.E.degree
-        width = len(self._rows)
+        components share one scale.  Only nonzero numerators meet the
+        change of basis, each through its sparse column."""
+        n, cols, width = self.E.degree, self._cols, len(self._cols)
         rows, scales = [], []
         for xs in matrix:
             den = math.lcm(*(x.den for x in xs))
             images = []
             for x in xs:
                 k = den // x.den
-                num = x.num if k == 1 else [k * c for c in x.num]
-                images.append([sum(map(mul, r, num)) for r in self._rows])
+                y = [0] * width
+                for c, col in zip(x.num, cols):
+                    if c:
+                        c *= k
+                        for i, r in col:
+                            y[i] += c * r
+                images.append(y)
             for s in range(0, width, n):
                 rows.append([tuple(y[s:s + n]) for y in images])
             scales.extend([den * self._den] * (width // n))
@@ -289,28 +297,11 @@ class VertexOrder:
         """Rows of B^-1, where the columns of B are the quaternion
         coordinates of End(Lambda_v).  B = T^-1 Ad(M) with T's columns the
         trivialization basis and M = [[a, t], [1, 0]], so column j of
-        B^-1 = Ad(M^-1) T is M^-1 b_j M.  In closed form, for
-        b = [[p, q], [r, s]] that is
-
-            [[r a + s,                     r t  ],
-             [(p a + q - a (r a + s)) / t, p - a r]],
-
-        five products and no inverse: t = pi^n, and 1/t = pi^-n comes from
-        the field's cache of uniformizer powers."""
-        f = self.v.field
-        a, level = self.v.center, self.v.level
-        t = f.scale_of_valuation(level)
-        t_inv = f.scale_of_valuation(-level)
-        rows = ([], [], [], [])
-        for b in self.triv.basis:
-            p, q, r, s = b.a, b.b, b.c, b.d
-            ra = r * a
-            top = ra + s
-            rows[0].append(top)
-            rows[1].append(r * t)
-            rows[2].append((p * a + q - a * top) * t_inv)
-            rows[3].append(p - ra)
-        return list(rows)
+        B^-1 = Ad(M^-1) T is M^-1 b_j M: the closed form of
+        `conjugate_by_vertex`, whose basis [[t, a], [0, 1]] is M with its
+        columns swapped, read in reverse.  Five products and no inverse."""
+        xs = [conjugate_by_vertex(b, self.v) for b in self.triv.basis]
+        return [[x[k] for x in xs] for k in (3, 2, 1, 0)]
 
     def in_subtree(self, sub: Subfield) -> bool:
         """Is the vertex a vertex of the twisted subtree of the subfield?

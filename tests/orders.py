@@ -3,13 +3,15 @@
 Moved from `bttwist.quatalg`, where nothing called them: `order_closure`
 finds the Z_(p)-order a set of quaternions generates, by the valuation
 echelon of `linalg_oracle`, and decides its maximality from the reduced
-discriminant against the Hilbert symbol of the algebra.
+discriminant against the Hilbert symbol of the algebra, `hilbert_symbol`.
 """
 
-from bttwist.errors import BttwistError
+from fractions import Fraction
+
+from bttwist.errors import BttwistError, ZeroInput
 from bttwist.linalg import det
-from bttwist.padic import vp_frac
-from bttwist.quatalg import Quaternion, QuaternionAlgebra, hilbert_symbol, quat
+from bttwist.padic import legendre, vp_frac, vp_int
+from bttwist.quatalg import Quaternion, QuaternionAlgebra, quat
 from linalg_oracle import echelon
 
 
@@ -33,6 +35,44 @@ def mulclose(gens, cap=2000):
                             raise NotIntegral("group closure exceeded cap")
         frontier = new
     return seen
+
+
+def hilbert_symbol(a: Fraction, b: Fraction, p: int) -> int:
+    """(a, b)_p for nonzero rationals at a finite prime."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ZeroInput(f"Hilbert symbol of ({a}, {b}) at {p}")
+
+    def split(x):
+        v = vp_int(x.numerator, p) - vp_int(x.denominator, p)
+        u = x / Fraction(p) ** v
+        return v, u
+
+    al, u = split(a)
+    be, v = split(b)
+    if p != 2:
+        eps = (p - 1) // 2
+        sign = (-1) ** (al * be * eps)
+        s = sign
+        if be % 2:
+            s *= _leg_frac(u, p)
+        if al % 2:
+            s *= _leg_frac(v, p)
+        return s
+
+    def eps2(x):  # (x-1)/2 mod 2 for odd rational x
+        return ((x.numerator * pow(x.denominator, -1, 8) % 8) - 1) // 2 % 2
+
+    def omega(x):  # (x^2-1)/8 mod 2
+        m = x.numerator * pow(x.denominator, -1, 16) % 16
+        return (m * m - 1) // 8 % 2
+
+    exp = eps2(u) * eps2(v) + al * omega(v) + be * omega(u)
+    return (-1) ** (exp % 2)
+
+
+def _leg_frac(u: Fraction, p: int) -> int:
+    return legendre(u.numerator * pow(u.denominator, -1, p) % p, p)
 
 
 def is_division_at(alg: QuaternionAlgebra, p: int) -> bool:

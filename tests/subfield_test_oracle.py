@@ -10,7 +10,9 @@ the E-rational sublattice, embedded back into the ambient field.
 `decompose` (with `rational_image`) is the decomposition over the mhat
 basis as `SubfieldLattice.decompose` gave it, one element of E per
 component, before the subfield test took the components as integer vectors
-(`SubfieldLattice.functionals`)."""
+(`SubfieldLattice.functionals`); it rebuilds the dense change of basis from
+the mhat basis.  `dense_functionals` is `functionals` before it applied the
+change of basis as sparse columns to the nonzero numerators only."""
 
 import math
 from operator import mul
@@ -32,9 +34,48 @@ def rational_image(rows, den: int, x: FieldElement, target) -> list:
             for i in range(0, len(y), n)]
 
 
+_DENSE: dict = {}
+
+
+def dense_change_of_basis(mach) -> tuple:
+    """The inverse change of basis to the mhat basis as dense integer rows
+    over one denominator, built as `SubfieldLattice` built it before it
+    kept sparse columns."""
+    if mach.sub not in _DENSE:
+        E = mach.E
+        cols = [(mach.sub.embed(E.monomial(em)) * mh).coords
+                for mh in mach.mhat for em in range(E.degree)]
+        to_mhat = inverse(list(zip(*cols)))
+        den = math.lcm(*(c.denominator for row in to_mhat for c in row))
+        _DENSE[mach.sub] = (
+            tuple(tuple(int(c * den) for c in row) for row in to_mhat), den)
+    return _DENSE[mach.sub]
+
+
 def decompose(mach, x: FieldElement):
     """x = sum_s mhat_s * y_s with y_s in the subfield model."""
-    return rational_image(mach._rows, mach._den, x, mach.E)
+    rows, den = dense_change_of_basis(mach)
+    return rational_image(rows, den, x, mach.E)
+
+
+def dense_functionals(mach, matrix):
+    """`SubfieldLattice.functionals` as it was before the sparse columns:
+    every entry's whole numerator meets every dense row."""
+    rows_in, den_in = dense_change_of_basis(mach)
+    n = mach.E.degree
+    width = len(rows_in)
+    rows, scales = [], []
+    for xs in matrix:
+        den = math.lcm(*(x.den for x in xs))
+        images = []
+        for x in xs:
+            k = den // x.den
+            num = x.num if k == 1 else [k * c for c in x.num]
+            images.append([sum(map(mul, r, num)) for r in rows_in])
+        for s in range(0, width, n):
+            rows.append([tuple(y[s:s + n]) for y in images])
+        scales.extend([den * den_in] * (width // n))
+    return rows, scales
 
 
 def subfield_vertex_test(tree, triv, v, sub) -> bool:

@@ -12,7 +12,10 @@ of two others.
 
 The subfield test feeds the kernel `SubfieldLattice.functionals`; its rows
 over their scales must be the components of the decomposition over mhat
-(`subfield_test_oracle.decompose`), element for element.
+(`subfield_test_oracle.decompose`), element for element, and they must be
+the very rows and scales of the dense change of basis it replaced
+(`subfield_test_oracle.dense_functionals`), on drawn matrices and on the
+order-lattice inverses of the `table1` branch.
 """
 
 from fractions import Fraction
@@ -22,9 +25,9 @@ from hypothesis import given, settings, strategies as st
 
 from bttwist.linalg import pivot_valuation_sum
 from bttwist.padic import FieldElement, make_field
-from bttwist.twisted import sublattice_machinery
+from bttwist.twisted import VertexOrder, sublattice_machinery
 from linalg_oracle import echelon
-from subfield_test_oracle import decompose
+from subfield_test_oracle import decompose, dense_functionals
 
 FIELDS = [(2, ()), (2, (-1,)), (2, (-3,)), (2, (-3, 2)), (3, (3, -1))]
 
@@ -176,3 +179,30 @@ def test_functionals_are_the_decomposition_components(field, data):
                 got = [E.el([Fraction(c, scales[i * m + s]) for c in num])
                        for num in rows[i * m + s]]
                 assert got == [part[s] for part in parts], sub
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, (-1, -3, 2)), (2, (-3, 2)), (3, (3, -1)),
+                        (2, (-1, 2))]),
+       st.data())
+def test_sparse_functionals_equal_the_dense_rows(field, data):
+    p, args = field
+    L = make_field(p, args)
+    matrix = data.draw(matrix_over(L, data.draw(st.integers(1, 4))))
+    for sub in L.subfields():
+        mach = sublattice_machinery(sub)
+        assert mach.functionals(matrix) == dense_functionals(mach, matrix), sub
+
+
+def test_sparse_functionals_on_the_table1_branch():
+    from bttwist import enumerate as counting
+    ctx = counting.make_context("q8", 2, (-1, -3, 2))
+    members = counting.count_integral_forms(ctx, (-1, -3, 2)).vertices
+    assert len(members) == 26
+    subs = ctx.ambient.subfields()
+    for v in members:
+        inverse = VertexOrder(ctx.tree, ctx.triv, v).lattice_inverse
+        for sub in subs:
+            mach = sublattice_machinery(sub)
+            assert mach.functionals(inverse) == \
+                dense_functionals(mach, inverse), (v, sub)

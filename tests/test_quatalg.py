@@ -10,11 +10,10 @@ from bttwist.errors import (DivisionByZero, FieldTooSmall, InternalInvariant,
 from bttwist.padic import make_field
 from bttwist.quatalg import (DICYCLIC_ALG, HAMILTON, Quaternion,
                              QuaternionAlgebra, Trivialization,
-                             find_trivialization, hilbert_symbol,
-                             maxorder_generators, q8_trivialization, quat,
-                             standard_groups)
+                             find_trivialization, maxorder_generators,
+                             q8_trivialization, quat, standard_groups)
 from bttwist.quatalg import _phi
-from orders import NotIntegral, mulclose, order_closure
+from orders import NotIntegral, hilbert_symbol, mulclose, order_closure
 
 
 U = quat(HAMILTON, 0, 1, 0, 0)
