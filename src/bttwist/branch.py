@@ -17,8 +17,8 @@ from .errors import InternalInvariant, NeedsExtension, NotAUnit
 from .padic import (INFINITY, FieldElement, LocalField, element_sqrt,
                     make_field, squarefree_part)
 from .bttree import (
-    EMPTY, WHOLE, BoundaryEnd, BoundaryPoint, ConvexSubtree, Horoball,
-    MoebiusMap, Vertex, tube,
+    EMPTY, WHOLE, BoundaryPoint, ConvexSubtree, Horoball, MoebiusMap, Tube,
+    Vertex,
 )
 
 Matrix2 = MoebiusMap  # same data; branch code reads it as a plain matrix
@@ -134,8 +134,7 @@ def branch_closed_form(q: Matrix2, field: LocalField) -> ConvexSubtree:
             return EMPTY
         xi1 = _eigen_direction(q, lam1)
         xi2 = _eigen_direction(q, lam2)
-        return tube(field, BoundaryEnd(xi1), BoundaryEnd(xi2),
-                    (lam1 - lam2).valuation())
+        return Tube(field, xi1, xi2, (lam1 - lam2).valuation())
     raise NeedsExtension("characteristic polynomial irreducible over the field")
 
 
@@ -187,6 +186,13 @@ def lift_element(x: FieldElement, big: LocalField) -> FieldElement:
     for mask, c in enumerate(x.coords):
         coords[mask] = c
     return big.el(coords)
+
+
+def lift_vertex(v: Vertex, big: LocalField) -> Vertex:
+    """The same ball in the tree of a model extending v's field."""
+    if big is v.field:
+        return v
+    return Vertex(lift_element(v.center, big), v.level)
 
 
 def lift_matrix(q: Matrix2, big: LocalField) -> Matrix2:

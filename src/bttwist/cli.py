@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import BttwistError
 from .padic import INFINITY, make_field
 from .bttree import Vertex, Window, emit_dot
-from .branch import Matrix2, branch_member, branch_with_extension, lift_element
+from .branch import Matrix2, branch_member, branch_with_extension, lift_vertex
 from . import enumerate as counting
 from . import globalforms
 
@@ -85,12 +85,7 @@ def cmd_branch(args) -> int:
     S, ambient = branch_with_extension(q, f)
     center = Vertex(f.zero, Fraction(0))
     win = Window(center, args.radius)
-    members = []
-    for v in win:
-        lifted = v if ambient is f else Vertex(
-            lift_element(v.center, ambient), v.level)
-        if S.contains(lifted):
-            members.append(v)
+    members = [v for v in win if S.contains(lift_vertex(v, ambient))]
     out = {
         "field": {"p": p, "sqrt_args": list(sqrts)},
         "ambient_sqrt_args": list(ambient.sqrt_args),

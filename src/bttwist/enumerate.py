@@ -37,8 +37,7 @@ class IFReport:
                  "vertices", "vertex_ids")
 
     def __init__(self, group: str, subfield_args: tuple, ambient_args: tuple,
-                 e: int, f: int, count: int, vertices: list,
-                 vertex_ids: list = None):
+                 e: int, f: int, count: int, vertices: list):
         if count != len(vertices):
             raise InternalInvariant(
                 f"count {count} != {len(vertices)} vertices")
@@ -49,7 +48,7 @@ class IFReport:
         self.f = f
         self.count = count
         self.vertices = vertices
-        self.vertex_ids = vertex_ids or [v.key() for v in vertices]
+        self.vertex_ids = [v.key() for v in vertices]
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)

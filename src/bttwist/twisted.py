@@ -100,9 +100,6 @@ class TwistedTree:
         x = BoundaryPoint.of(x)
         return self.cocycle[sigma].apply_boundary(x.galois(sigma))
 
-    def invariant(self, subgroup, v) -> bool:
-        return all(self.apply(s, v) == v for s in subgroup)
-
     def invariant_vertices(self, subgroup, window,
                            include_midpoints: bool = False):
         """Window vertices fixed by the whole subgroup; optionally also the
@@ -285,12 +282,6 @@ class VertexOrder:
             else:
                 fixed[sigma] = False
         return fixed[sigma]
-
-    def invariant(self, masks) -> bool:
-        """Is v fixed by the group of these Galois masks?  The twisted action
-        is a group action, so `fixed_by` of an xor basis of them suffices
-        (`_decide` asks a subfield's cached basis directly)."""
-        return all(map(self.fixed_by, xor_basis(masks)))
 
     @cached_property
     def lattice_inverse(self) -> list:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .padic import INFINITY, make_field
 from .bttree import (Vertex, Window, distance, e_vertex_test_untwisted,
                      tubular)
-from .branch import (branch_member, branch_with_extension, lift_element,
+from .branch import (branch_member, branch_with_extension, lift_vertex,
                      sample_integral_matrix, trace, unit_fixed_points)
 from . import enumerate as counting
 from . import globalforms
@@ -192,9 +192,7 @@ def check_engines(fast: bool = False, seed: int = 20240) -> tuple:
             oracle = [branch_member(q, v) for v in win]
             S, amb = branch_with_extension(q, fld)
             for v, o in zip(win.vertices, oracle):
-                lifted = v if amb is fld else Vertex(
-                    lift_element(v.center, amb), v.level)
-                if S.contains(lifted) != o:
+                if S.contains(lift_vertex(v, amb)) != o:
                     return False, f"closed form vs oracle over {fld}: {q}"
             t, d = trace(q), q.det()
             if t.valuation() >= 0 and d.valuation() == 0:
@@ -216,10 +214,8 @@ def check_engines(fast: bool = False, seed: int = 20240) -> tuple:
         Sa, amb_a = branch_with_extension(qa, fld)
         grown = tubular(S, alpha.valuation())
         for v in win:
-            lv = v if amb is fld else Vertex(lift_element(v.center, amb), v.level)
-            lva = v if amb_a is fld else Vertex(
-                lift_element(v.center, amb_a), v.level)
-            if Sa.contains(lva) != grown.contains(lv):
+            if (Sa.contains(lift_vertex(v, amb_a))
+                    != grown.contains(lift_vertex(v, amb))):
                 return False, f"scaling law fails for alpha = pi^{k}"
     return True, f"{total} matrices, zero discrepancies; scaling law on {law_checks}"
 

@@ -7,17 +7,208 @@ is that walk's oracle wherever every generator splits in the ambient field
 (a generator that does not split raises NeedsExtension here).  Intersections
 of tubes and horoballs are tubes or horoballs again, except two horoballs at
 distinct boundary points, which stay an implicit `Meet`.
+
+Intersections of tubes are segments and rays, so the oracle's `Tube` is
+the general one: a core interval [lo, hi] of levels on a carrier geodesic,
+built by `tube` from any two ends (boundary points or vertices), with
+`line` and `ball` for the two extreme cases.  The product's `bttree.Tube`
+keeps only the geodesic tube that a single matrix has; `intersect` turns it
+into this form, with levels [-oo, oo], on entry.
 """
 
 from fractions import Fraction
 
+from bttwist import bttree
 from bttwist.branch import branch_closed_form
-from bttwist.bttree import (EMPTY, NEG_INFINITY, WHOLE, BoundaryEnd,
-                            BoundaryPoint, ConvexSubtree, EmptyTree, Horoball,
-                            Tube, Vertex, VertexEnd, WholeTree, _clamp,
-                            distance, tube)
-from bttwist.errors import BttwistError
-from bttwist.padic import INFINITY
+from bttwist.bttree import (EMPTY, WHOLE, BoundaryPoint, ConvexSubtree,
+                            EmptyTree, Horoball, Vertex, WholeTree, distance,
+                            std_map)
+from bttwist.errors import BttwistError, InternalInvariant
+from bttwist.padic import INFINITY, val_min
+
+
+class _NegInfinity:
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "-oo"
+
+    def __eq__(self, other):
+        return other is self
+
+    def __hash__(self):
+        return hash("bttwist-neg-infinity")
+
+    def __lt__(self, other):
+        return other is not self
+
+    def __le__(self, other):
+        return True
+
+    def __gt__(self, other):
+        return False
+
+    def __ge__(self, other):
+        return other is self
+
+
+NEG_INFINITY = _NegInfinity()
+
+
+class VertexEnd:
+    __slots__ = ("vertex",)
+
+    def __init__(self, vertex: Vertex):
+        self.vertex = vertex
+
+    def __repr__(self):
+        return f"VertexEnd({self.vertex!r})"
+
+
+class BoundaryEnd:
+    __slots__ = ("point",)
+
+    def __init__(self, point):
+        self.point = BoundaryPoint.of(point)
+
+    def __repr__(self):
+        return f"BoundaryEnd({self.point!r})"
+
+
+def _clamp(x, lo, hi):
+    if lo is not NEG_INFINITY and x < lo:
+        x = lo
+    if hi is not INFINITY and x > hi:
+        x = hi
+    return x
+
+
+class Tube(ConvexSubtree):
+    """All points within `width` of a geodesic core.
+
+    The core is stored as an interval [lo, hi] of levels on the standard
+    axis line(0, infinity), transported by `gamma` (gamma(0) = xi1,
+    gamma(inf) = xi2).  hi = +oo means the core reaches the xi1 end,
+    lo = -oo the xi2 end.
+    """
+
+    def __init__(self, field, xi1: BoundaryPoint, xi2: BoundaryPoint,
+                 lo, hi, width, end_a=None, end_b=None):
+        self.field = field
+        self.xi1 = xi1
+        self.xi2 = xi2
+        self.lo = lo
+        self.hi = hi
+        self.width = Fraction(width)
+        if self.width < 0:
+            raise InternalInvariant(f"negative tube width {self.width}")
+        self.gamma = std_map(field, xi1, xi2)
+        self.gamma_inv = self.gamma.inv()
+        self.end_a = end_a if end_a is not None else self._derive_end(hi, toward_xi1=True)
+        self.end_b = end_b if end_b is not None else self._derive_end(lo, toward_xi1=False)
+
+    def _derive_end(self, bound, toward_xi1: bool):
+        if toward_xi1:
+            if bound is INFINITY:
+                return BoundaryEnd(self.xi1)
+            return VertexEnd(self.axis_vertex(bound))
+        if bound is NEG_INFINITY:
+            return BoundaryEnd(self.xi2)
+        return VertexEnd(self.axis_vertex(bound))
+
+    def axis_vertex(self, t) -> Vertex:
+        return self.gamma.apply_vertex(Vertex(self.field.zero, t))
+
+    def axis_coord(self, v: Vertex) -> Fraction:
+        """Level coordinate of a vertex assumed to lie on the carrier."""
+        w = self.gamma_inv.apply_vertex(v)
+        if w.center.valuation() < w.level:
+            raise InternalInvariant(f"vertex {v!r} is not on the carrier")
+        return w.level
+
+    def core_distance(self, v: Vertex) -> Fraction:
+        w = self.gamma_inv.apply_vertex(v)
+        minf = val_min(w.level, w.center.valuation())
+        t_hat = _clamp(minf, self.lo, self.hi)
+        m_hat = val_min(w.level, t_hat, w.center.valuation())
+        return (w.level - m_hat) + (t_hat - m_hat)
+
+    def contains(self, v: Vertex) -> bool:
+        return self.core_distance(v) <= self.width
+
+    def tubular(self, w) -> "Tube":
+        return Tube(self.field, self.xi1, self.xi2, self.lo, self.hi,
+                    self.width + Fraction(w))
+
+    def __repr__(self):
+        return (f"Tube({self.end_a!r} .. {self.end_b!r}, width={self.width}, "
+                f"levels=[{self.lo},{self.hi}])")
+
+
+def tube(field, end_a, end_b, width) -> Tube:
+    """Build the tube of the given width around the geodesic [end_a, end_b]."""
+    width = Fraction(width)
+    if isinstance(end_a, BoundaryEnd) and isinstance(end_b, BoundaryEnd):
+        xi1, xi2 = end_a.point, end_b.point
+        if xi1 == xi2:
+            raise InternalInvariant(f"coincident boundary ends at {xi1!r}")
+        return Tube(field, xi1, xi2, NEG_INFINITY, INFINITY, width, end_a, end_b)
+    if isinstance(end_a, VertexEnd) and isinstance(end_b, VertexEnd):
+        v1, v2 = end_a.vertex, end_b.vertex
+        if v1 == v2:
+            xi1 = BoundaryPoint(v1.center)
+            xi2 = BoundaryPoint.infinity()
+            return Tube(field, xi1, xi2, v1.level, v1.level, width, end_a, end_b)
+        m = (v1.center - v2.center).valuation()
+        if m >= v1.level or m >= v2.level:  # nested: vertical carrier
+            xi1 = BoundaryPoint(v2.center if m >= v1.level else v1.center)
+            xi2 = BoundaryPoint.infinity()
+        else:
+            xi1 = BoundaryPoint(v1.center)
+            xi2 = BoundaryPoint(v2.center)
+        t = Tube(field, xi1, xi2, NEG_INFINITY, INFINITY, width)
+        t1, t2 = t.axis_coord(v1), t.axis_coord(v2)
+        lo, hi = min(t1, t2), max(t1, t2)
+        return Tube(field, xi1, xi2, lo, hi, width, end_a, end_b)
+    if isinstance(end_a, BoundaryEnd):
+        end_a, end_b = end_b, end_a
+    v1, xi = end_a.vertex, end_b.point
+    if xi.is_infinity:
+        xi1 = BoundaryPoint(v1.center)
+        t = Tube(field, xi1, xi, NEG_INFINITY, INFINITY, width)
+        return Tube(field, xi1, xi, NEG_INFINITY, t.axis_coord(v1), width,
+                    end_a, end_b)
+    if (xi.value - v1.center).valuation() >= v1.level:
+        # boundary point inside the ball: ray descends toward it
+        t = Tube(field, xi, BoundaryPoint.infinity(), NEG_INFINITY, INFINITY, width)
+        return Tube(field, xi, BoundaryPoint.infinity(), t.axis_coord(v1),
+                    INFINITY, width, end_a, end_b)
+    xi1 = BoundaryPoint(v1.center)
+    t = Tube(field, xi1, xi, NEG_INFINITY, INFINITY, width)
+    return Tube(field, xi1, xi, NEG_INFINITY, t.axis_coord(v1), width,
+                end_a, end_b)
+
+
+def line(field, a, b, width=0) -> Tube:
+    return tube(field, BoundaryEnd(BoundaryPoint.of(a)),
+                BoundaryEnd(BoundaryPoint.of(b)), width)
+
+
+def ball(v: Vertex, radius) -> Tube:
+    return tube(v.field, VertexEnd(v), VertexEnd(v), radius)
+
+
+def general(S: ConvexSubtree) -> ConvexSubtree:
+    """The oracle's form of a shape: a geodesic `bttree.Tube` becomes the
+    general tube around the same geodesic with levels [-oo, oo]."""
+    if isinstance(S, bttree.Tube):
+        return Tube(S.field, S.xi1, S.xi2, NEG_INFINITY, INFINITY, S.width)
+    return S
 
 
 class NoPeak(BttwistError):
@@ -33,6 +224,7 @@ def branch_of_family(qs, field):
 
 
 def intersect(S1: ConvexSubtree, S2: ConvexSubtree) -> ConvexSubtree:
+    S1, S2 = general(S1), general(S2)
     if isinstance(S1, EmptyTree) or isinstance(S2, EmptyTree):
         return EMPTY
     if isinstance(S1, WholeTree):

@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction
 
-from bttwist.bttree import (BoundaryEnd, BoundaryPoint, Horoball, MoebiusMap,
-                            Vertex, ball, distance, line, tube, VertexEnd)
+from bttwist.bttree import BoundaryPoint, Horoball, MoebiusMap, Vertex, distance
+from convex_oracle import BoundaryEnd, VertexEnd, ball, line, tube
 
 
 # -- tree helpers the tests use and the program does not ----------------

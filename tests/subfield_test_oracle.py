@@ -12,15 +12,32 @@ basis as `SubfieldLattice.decompose` gave it, one element of E per
 component, before the subfield test took the components as integer vectors
 (`SubfieldLattice.functionals`); it rebuilds the dense change of basis from
 the mhat basis.  `dense_functionals` is `functionals` before it applied the
-change of basis as sparse columns to the nonzero numerators only."""
+change of basis as sparse columns to the nonzero numerators only.
+
+`tree_invariant` and `order_invariant` are the two invariance checks that
+`TwistedTree` and `VertexOrder` carried as `invariant` methods before the
+subfield test asked `VertexOrder.fixed_by` of cached fixing generators
+directly."""
 
 import math
 from operator import mul
 
 from bttwist.linalg import det, inverse
-from bttwist.padic import FieldElement, _reduced
+from bttwist.padic import FieldElement, _reduced, xor_basis
 from bttwist.twisted import order_lattice_of_vertex, sublattice_machinery
 from linalg_oracle import echelon
+
+
+def tree_invariant(tree, subgroup, v) -> bool:
+    """Is v fixed by every mask of the subgroup under the twisted action?"""
+    return all(tree.apply(s, v) == v for s in subgroup)
+
+
+def order_invariant(order, masks) -> bool:
+    """Is the order's vertex fixed by the group of these Galois masks?  The
+    twisted action is a group action, so `fixed_by` of an xor basis of them
+    suffices."""
+    return all(map(order.fixed_by, xor_basis(masks)))
 
 
 def rational_image(rows, den: int, x: FieldElement, target) -> list:
@@ -83,7 +100,7 @@ def subfield_vertex_test(tree, triv, v, sub) -> bool:
     if (v.level * L.e).denominator != 1:
         return False  # midpoints never carry an O_L-order
     H = sub.fixing_masks()
-    if not tree.invariant(H, v):
+    if not tree_invariant(tree, H, v):
         return False
     if sub.field.degree == L.degree:
         return True  # E = L

@@ -7,22 +7,16 @@ import pytest
 from bttwist.errors import InternalInvariant, NeedsExtension, NotAUnit
 from bttwist.padic import make_field
 from bttwist.bttree import (BoundaryPoint, Horoball, Tube, Vertex, Window,
-                            distance, line, tubular)
+                            distance, tubular)
 from bttwist.branch import (Matrix2, branch_closed_form, branch_member,
                             branch_with_extension, classify, lift_element,
-                            mat, sample_integral_matrix, trace, try_sqrt,
-                            unit_fixed_points)
+                            lift_vertex, mat, sample_integral_matrix, trace,
+                            try_sqrt, unit_fixed_points)
 from bttwist.enumerate import branch_vertices
-from convex_oracle import branch_of_family
+from convex_oracle import branch_of_family, line
 
 Q2 = make_field(2, ())
 OMEGA = make_field(2, (-1, -3, 2))
-
-
-def lift_vertex(v, big):
-    if big is v.field:
-        return v
-    return Vertex(lift_element(v.center, big), v.level)
 
 
 class TestClassify:

@@ -5,11 +5,10 @@ import pytest
 
 from bttwist.errors import InternalInvariant, WindowTooLarge
 from bttwist.padic import make_field
-from bttwist.bttree import (BoundaryPoint, MoebiusMap,
-                            Vertex, VertexEnd, Window, ball, distance,
-                            e_vertex_test_untwisted, emit_dot, line,
-                            neighbors, tube, tubular)
-from convex_oracle import Meet, NoPeak, intersect, peak
+from bttwist.bttree import (BoundaryPoint, MoebiusMap, Vertex, Window,
+                            distance, e_vertex_test_untwisted, emit_dot,
+                            neighbors, tubular)
+from convex_oracle import Meet, NoPeak, ball, intersect, line, peak
 
 from helpers import contains_set, lattice_of_vertex, path_vertices, \
     rand_convex, rand_moebius, rand_vertex, same_type, standard_horoball
@@ -194,11 +193,15 @@ class TestConvexSets:
 
 class TestTypedErrors:
     def test_negative_tube_width(self):
-        from bttwist.bttree import NEG_INFINITY, Tube
+        from bttwist.bttree import Tube as GeodesicTube
+        from convex_oracle import NEG_INFINITY, Tube
         from bttwist.padic import INFINITY
         with pytest.raises(InternalInvariant):
             Tube(Q2, BoundaryPoint(Q2.zero), BoundaryPoint.infinity(),
                  NEG_INFINITY, INFINITY, -1)
+        with pytest.raises(InternalInvariant):
+            GeodesicTube(Q2, BoundaryPoint(Q2.zero), BoundaryPoint.infinity(),
+                         -1)
 
     def test_axis_coord_off_the_carrier(self):
         T = line(Q2, Q2.zero, BoundaryPoint.infinity(), 0)
@@ -207,8 +210,11 @@ class TestTypedErrors:
             T.axis_coord(B(Q2, 1, 2))
 
     def test_coincident_boundary_ends(self):
+        from bttwist.bttree import Tube as GeodesicTube
         with pytest.raises(InternalInvariant):
             line(Q2, Q2.one, Q2.one)
+        with pytest.raises(InternalInvariant):
+            GeodesicTube(Q2, BoundaryPoint(Q2.one), BoundaryPoint(Q2.one), 0)
 
     def test_negative_tubular_radius(self):
         with pytest.raises(InternalInvariant):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from bttwist.branch import QuadClass
+from bttwist.bttree import Vertex
 from bttwist.enumerate import IFReport
 from bttwist.errors import InternalInvariant
 from bttwist.globalforms import QuadForm
@@ -60,11 +61,12 @@ def test_quad_class():
 
 
 def test_if_report():
-    v = F.zero
+    v = Vertex(F.zero, Fraction(0))
     rep = IFReport("q8", (-1,), (-1, -3), 2, 1, 0, [])
     assert rep.vertex_ids == [] and rep == IFReport(
-        "q8", (-1,), (-1, -3), 2, 1, 0, [], [])
-    assert rep != IFReport("q8", (-1,), (-1, -3), 2, 1, 0, [], ["x"])
+        "q8", (-1,), (-1, -3), 2, 1, 0, [])
+    one = IFReport("q8", (-1,), (-1, -3), 2, 1, 1, [v])
+    assert one.vertex_ids == [v.key()] and rep != one
     with pytest.raises(TypeError):
         hash(rep)
     with pytest.raises(InternalInvariant):
@@ -73,5 +75,5 @@ def test_if_report():
     fields = ["group", "subfield_args", "ambient_args", "e", "f", "count",
               "vertices", "vertex_ids"]
     old = dataclasses.make_dataclass("IFReport", fields)
-    args = ("q8", (-1,), (-1, -3), 2, 1, 1, [v], ["id"])
-    assert repr(IFReport(*args)) == repr(old(*args))
+    args = ("q8", (-1,), (-1, -3), 2, 1, 1, [v])
+    assert repr(IFReport(*args)) == repr(old(*args, [v.key()]))

@@ -58,7 +58,8 @@ def _filter_disagreements(ctx, vertices):
         order = VertexOrder(ctx.tree, ctx.triv, v)
         for sub in ctx.ambient.subfields():
             H = sub.fixing_masks()
-            if order.invariant(H) != ctx.tree.invariant(H, v):
+            if (old.order_invariant(order, H)
+                    != old.tree_invariant(ctx.tree, H, v)):
                 wrong.append((v.key(), sub.field.sqrt_args))
     return wrong
 

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from convex_oracle import branch_of_family
+from convex_oracle import Tube, branch_of_family
 from bttwist import enumerate as counting
-from bttwist.bttree import Tube, Vertex, neighbors
+from bttwist.bttree import Vertex, neighbors
 from bttwist.errors import NeedsExtension
 
 SPLIT = [("q8", (-1, -3, 2), 26), ("q8", (-3, -1), 6), ("q8", (-1, 2), 26),
