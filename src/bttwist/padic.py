@@ -216,10 +216,14 @@ class LocalField:
                     raise SplitPrime(f"Q_{p}(sqrt({d})) splits at {p}")
         # squarefree class -> its monomial mask (1 -> 0)
         self._masks = {d: m for m, (d, _) in self.span_class.items()}
-        self.f = 2 if any(
-            quad_ext_type(self.span_class[m][0], p) == "unramified"
-            for m in range(1, self.degree)
-        ) else 1
+        # the mask of the unramified quadratic subfield, or None; a field
+        # with one prime above p has at most one (two would multiply to a
+        # square class that splits)
+        self.unramified_mask = next(
+            (m for m in range(1, self.degree)
+             if quad_ext_type(self.span_class[m][0], p) == "unramified"),
+            None)
+        self.f = 1 if self.unramified_mask is None else 2
         self.e = self.degree // self.f
         self.q = p ** self.f
         # the squares of the first two generators, for the written-out
@@ -249,6 +253,7 @@ class LocalField:
         self._residue_reps = None
         self._uniformizer = None
         self._subfields = None
+        self._subfield_of_span = None
 
     def __repr__(self):
         if not self.sqrt_args:
@@ -548,7 +553,14 @@ class LocalField:
                 _build_subfield(self, span)
                 for span in sorted(subgroups, key=lambda s: (len(s), sorted(s)))
             ]
+            self._subfield_of_span = {sub.span: sub for sub in self._subfields}
         return self._subfields
+
+    def subfield_of_span(self, span: frozenset):
+        """The proper subfield whose monomial masks are the given span, or
+        None if the span is no proper subgroup."""
+        self.subfields()
+        return self._subfield_of_span.get(span)
 
     def find_subfield(self, sqrt_args) -> "Subfield":
         """Locate the subfield generated by the given (squarefree) integers.
@@ -564,7 +576,7 @@ class LocalField:
         if len(want) == self.degree:
             return _build_subfield(self, want)
         # every proper subgroup of the span is one of the subfields
-        return next(sub for sub in self.subfields() if sub.span == want)
+        return self.subfield_of_span(want)
 
 
 class FieldElement:
@@ -842,9 +854,10 @@ def rational_sqrt(r: Fraction):
 
 class Subfield:
     """A subfield of a LocalField: its own model plus the embedding data.
-    Immutable; equal and hashed by its four fields."""
+    Immutable; equal by its four fields, and hashed by them once, since
+    every cache keyed by a subfield hashes it on each lookup."""
 
-    __slots__ = ("parent", "field", "span", "monomial_images")
+    __slots__ = ("parent", "field", "span", "monomial_images", "_hash")
 
     def __init__(self, parent: LocalField, field: LocalField, span: frozenset,
                  monomial_images: tuple):
@@ -853,6 +866,7 @@ class Subfield:
         object.__setattr__(self, "span", span)
         # per subfield monomial: (parent mask, rational coefficient)
         object.__setattr__(self, "monomial_images", monomial_images)
+        object.__setattr__(self, "_hash", hash(self._fields()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{self!r} is immutable")
@@ -869,7 +883,7 @@ class Subfield:
         return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(self._fields())
+        return self._hash
 
     def embed(self, x: FieldElement) -> FieldElement:
         if x.field is not self.field:

@@ -251,8 +251,8 @@ class VertexOrder:
     """What the subfield test needs to know about one vertex, computed at
     most once however many subfields it is asked about: which Galois
     elements fix the vertex under the twisted action, the inverse of its
-    order lattice in quaternion coordinates, and the subfields it was found
-    outside."""
+    order lattice in quaternion coordinates, and its answer for each
+    subfield it was asked about, keyed by the subfield's span."""
 
     def __init__(self, tree: TwistedTree, triv, v: Vertex):
         self.tree = tree
@@ -260,7 +260,7 @@ class VertexOrder:
         self.v = v
         self._fixed = {0: True}
         self._stabilizer = [0]  # the masks known to fix v: a subgroup
-        self._outside = []  # spans of the subfields v was found outside
+        self._answers = {}  # span -> whether v is in that subfield's tree
 
     def fixed_by(self, sigma: int) -> bool:
         """Does sigma fix v under the twisted action?  By the cocycle law
@@ -299,7 +299,7 @@ class VertexOrder:
 
         Criterion: the order of v is spanned over O_L by its E-rational
         part, equivalently the E-rational sublattice has full volume.  A
-        cheap twisted Galois invariance check filters first.  Two exact
+        cheap twisted Galois invariance check filters first.  Three exact
         facts decide most pairs without the lattice echelon:
 
         - unramified descent: if L/E is unramified (E.e == L.e), O_L/O_E is
@@ -308,33 +308,48 @@ class VertexOrder:
         - subfield inclusion: if E lies in E', the E-rational quaternions
           H_E lie in H_E', so O_v = O_L (O_v cap H_E) gives
           O_v = O_L (O_v cap H_E').  T_E lies in T_E', and v is outside
-          every subfield of one it was found outside; the spans of those
-          are remembered.
+          every subfield of one it was found outside;
+        - relative unramified descent: with L_ur the maximal unramified
+          subfield of L and E' = E L_ur, v is in T_E exactly when
+          Gal(L/E) fixes v and v is in T_E'.  (=>) T_E lies in T_E', and
+          an order spanned by Gal(L/E)-fixed elements is Gal(L/E)-stable.
+          (<=) Lambda' = O_v cap H_E' spans O_v over O_L and is a
+          Gal(E'/E)-stable O_E'-lattice (H_E' is Gal(L/E)-stable, as
+          Gal(L/E') is normal); O_E'/O_E is etale, so
+          Lambda' = O_E' (Lambda' cap H_E) and O_L (O_v cap H_E) = O_v.
 
-        The echelon is left for the ramified pairs.
+        Every answer is kept, by span, for the inclusion fact and for the
+        E' that relative descent asks.  The echelon is left for the pairs
+        none of these decides.
         """
+        if sub.parent is not self.tree.field:
+            raise InternalInvariant(
+                f"{sub} is not a subfield of the tree's {self.tree.field}")
         span = sub.span
-        if any(span < out for out in self._outside):
-            return False
-        inside = self._decide(sub)
-        if not inside:
-            self._outside.append(span)
-        return inside
+        answers = self._answers
+        if span not in answers:
+            answers[span] = (
+                not any(span < s for s, ok in answers.items() if not ok)
+                and self._decide(sub))
+        return answers[span]
 
     def _decide(self, sub: Subfield) -> bool:
         """`in_subtree` for a subfield the memo cannot answer.
 
         Midpoints, vertices the twisted action moves and levels off E's
-        value group are outside; unramified L/E descends.  Invariance is
-        asked of the subfield's fixing generators, cached per subfield.
-        For ramified L/E, each entry of B^-1 is decomposed over the mhat
-        basis, and component s of the entries of one row is one echelon
-        row: an E-functional, and the E-rational part of the order is where
-        all of them are integral (SubfieldLattice shows why no component
-        needs scaling).  The rows' echelon over O_E is never built:
-        `pivot_valuation_sum` eliminates on their integer vectors and
-        gives n = [E : Q_p] times the sum of its pivot valuations, or None
-        below full rank.
+        value group are outside; unramified L/E descends, and a ramified
+        L/E with f_E < f_L is decided at E' = E L_ur.  Invariance is asked
+        of the subfield's fixing generators, cached per subfield.
+        E' is a proper subfield, as E' = L would force e_E = e_L.
+
+        For the other ramified pairs, each entry of B^-1 is decomposed over
+        the mhat basis, and component s of the entries of one row is one
+        echelon row: an E-functional, and the E-rational part of the order
+        is where all of them are integral (SubfieldLattice shows why no
+        component needs scaling).  The rows' echelon over O_E is never
+        built: `pivot_valuation_sum` eliminates on their integer vectors
+        and gives n = [E : Q_p] times the sum of its pivot valuations, or
+        None below full rank.
 
         The dual lattice {x : <g, x> integral for all g in the echelon G}
         is spanned by the columns of G^-1, and G is triangular with its
@@ -352,6 +367,12 @@ class VertexOrder:
             return False  # level not in the subfield's value group
         if E.e == L.e:
             return True  # L/E unramified (E = L included): v descends
+        if E.f < L.f:
+            u = L.unramified_mask
+            wider = L.subfield_of_span(sub.span | {m ^ u for m in sub.span})
+            if wider is None:
+                raise InternalInvariant(f"no proper subfield E L_ur for {sub}")
+            return self.in_subtree(wider)  # E'/E unramified: v descends
         rows, scales = sublattice_machinery(sub).functionals(
             self.lattice_inverse)
         total = pivot_valuation_sum(E, rows, scales)

@@ -49,6 +49,14 @@ def test_immutable_records(x, same, other, fields):
         x.extra = 1
 
 
+def test_the_whole_field_as_a_subfield_hashes_alike():
+    # find_subfield builds the whole field's Subfield afresh on each call;
+    # the hash kept at construction is the hash of its fields
+    whole, again = F.find_subfield(F.sqrt_args), F.find_subfield((-3, -1))
+    assert whole == again and whole is not again
+    assert hash(whole) == hash(again) == hash(whole._fields())
+
+
 def test_quad_class():
     q = QuadClass("scalar")
     assert (q.eigenvalues, q.ramified) == (None, None)

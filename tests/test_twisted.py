@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from bttwist.errors import CocycleLawViolated
+from bttwist.errors import CocycleLawViolated, InternalInvariant
 from bttwist.linalg import det, inverse
+from bttwist import enumerate as counting
 from bttwist import twisted
 from bttwist.padic import LocalField, make_field, parity
 from bttwist.bttree import (BoundaryPoint, MoebiusMap, Vertex, Window,
@@ -330,3 +331,23 @@ class TestSubfieldVertexTest:
                 moved = tree.apply(s, w)
                 assert (branch_member(U, moved) and
                         branch_member(V, moved)) == member
+
+
+def test_a_subfield_of_another_model_is_refused():
+    # Q_2(sqrt 2, sqrt -1, sqrt -3) is table1's field with its generators in
+    # another order, so the same span names other square classes: asked of
+    # table1's vertices, its subfields gave wrong counts with no error (1
+    # member in the subtree of Q_2(sqrt 2) against 4, 26 in that of
+    # Q_2(sqrt 2, sqrt -1) against 10).  The refusal comes before the memo.
+    ctx = counting.make_context("q8", 2, counting.OMEGA_ARGS)
+    other = make_field(2, (2, -1, -3))
+    assert other is not ctx.ambient
+    own = {s.span: s for s in ctx.ambient.subfields()
+           + [ctx.ambient.find_subfield(OMEGA.sqrt_args)]}
+    foreign = other.subfields() + [other.find_subfield(other.sqrt_args)]
+    for v in counting.count_integral_forms(ctx, counting.OMEGA_ARGS).vertices:
+        order = twisted.VertexOrder(ctx.tree, ctx.triv, v)
+        for sub in foreign:
+            order.in_subtree(own[sub.span])
+            with pytest.raises(InternalInvariant):
+                order.in_subtree(sub)
