@@ -225,7 +225,7 @@ def unit_fixed_points(q: Matrix2, window) -> list:
     t, n = trace(q), q.det()
     if t.valuation() < 0 or not (n.valuation() == 0):
         raise NotAUnit("need an integral matrix with unit determinant")
-    return [v for v in window if q.apply_vertex(v) == v]
+    return [v for v in window if q.sends(v, v)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .errors import InternalInvariant, WindowTooLarge
+from .errors import DivisionByZero, InternalInvariant, WindowTooLarge
 from .padic import INFINITY, FieldElement, LocalField, Subfield, val_min
 
 
@@ -97,10 +97,7 @@ class Vertex:
         a, b = self.level, other.level
         if a.numerator != b.numerator or a.denominator != b.denominator:
             return False
-        x, y = self.center, other.center
-        if x.field is y.field and x.den == y.den and x.num == y.num:
-            return True
-        return (x - y).valuation() >= a
+        return self.center.field.congruent(self.center, other.center, a)
 
     def __hash__(self):  # pragma: no cover - identity hashing is a trap here
         raise TypeError("Vertex is not hashable; use key() for canonical ids")
@@ -213,10 +210,11 @@ class Window:
 class MoebiusMap:
     """A 2x2 matrix with nonzero determinant, acting projectively."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("a", "b", "c", "d", "_nu_det")
 
     def __init__(self, a, b, c, d):
         self.a, self.b, self.c, self.d = a, b, c, d
+        self._nu_det = None  # nu(det) * degree, on first use
 
     @classmethod
     def from_rows(cls, field: LocalField, rows) -> "MoebiusMap":
@@ -275,13 +273,48 @@ class MoebiusMap:
             return BoundaryPoint.infinity()
         return BoundaryPoint(num / den)
 
+    def image(self, v: Vertex) -> tuple:
+        """(u1, u2, level) with g.v = B(u1 / u2, level), without an inverse.
+        g maps the lattice basis ((z, 1), (t, 0)) of v = B(z, n/e), t = pi^n,
+        to (az + b, cz + d) and (at, ct), of determinant t det g; (u1, u2) is
+        the column of least nu(u2) (cz + d on a tie; (a, c) stands for
+        (at, ct)), and level = nu(t) + nu(det g) - 2 nu(u2), summed in units
+        of 1/degree.  A midpoint gives its interpolated image over u2 = 1;
+        a singular g raises DivisionByZero."""
+        f, level = v.field, v.level
+        n, rem = divmod(level.numerator * f.e, level.denominator)
+        if rem:
+            w = self.apply_vertex(v)
+            return w.center, f.one, w.level
+        a, c, z = self.a, self.c, v.center
+        u2 = c * z + self.d
+        if self._nu_det is None:
+            det = self.det()
+            if det.is_zero():
+                raise DivisionByZero(f"singular Moebius map {self!r}")
+            self._nu_det = f.val_units(det)
+        nt = n * f.f  # nu(t) * degree
+        k2, kc = f.val_units(u2), f.val_units(c)
+        if k2 > kc + nt:
+            u1, u2, k2 = a, c, kc + nt
+        else:
+            u1 = a * z + self.b
+        return u1, u2, f.val_of_units(nt + self._nu_det - 2 * k2)
+
+    def sends(self, w: Vertex, v: Vertex) -> bool:
+        """Is g.w = v?  For v = B(z, r): the levels agree and
+        nu(u1 - z u2) >= r + nu(u2), with no inverse and no image vertex."""
+        u1, u2, level = self.image(w)
+        f = u2.field
+        return level == v.level and f.congruent(
+            u1, v.center * u2, level, f.val_units(u2))
+
     def apply_vertex(self, v: Vertex) -> Vertex:
         """Image under the lattice action g.[Lambda] = [g Lambda].
 
         Midpoints (levels off the (1/e)Z lattice) map by interpolating the
         images of the two lattice endpoints of their edge."""
-        f = v.field
-        e = f.e
+        e = v.field.e
         level = v.level
         n, rem = divmod(level.numerator * e, level.denominator)
         if rem:
@@ -292,25 +325,8 @@ class MoebiusMap:
             if u1.level > u0.level:
                 return Vertex(u1.center, u0.level + delta)
             return Vertex(u0.center, u0.level - delta)
-        t = f.pi_pow(n)
-        # columns of g * (basis of Lambda_{a, r})
-        u1 = self.a * v.center + self.b
-        u2 = self.c * v.center + self.d
-        w1 = self.a * t
-        w2 = self.c * t
-        if u2.valuation() > w2.valuation():
-            u1, u2, w1, w2 = w1, w2, u1, u2
-        # now nu(u2) <= nu(w2), in particular u2 != 0
-        u2_inv = u2.inv()
-        w1 = w1 - w2 * u2_inv * u1
-        center = u1 * u2_inv
-        lvl = w1.valuation() - u2.valuation()
-        return Vertex(center, lvl)
-
-    def apply(self, x):
-        if isinstance(x, Vertex):
-            return self.apply_vertex(x)
-        return self.apply_boundary(BoundaryPoint.of(x))
+        u1, u2, lvl = self.image(v)
+        return Vertex(u1 * u2.inv(), lvl)
 
     def __repr__(self):
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
@@ -386,9 +402,11 @@ class Tube(ConvexSubtree):
         self.gamma_inv = self.gamma.inv()
 
     def contains(self, v: Vertex) -> bool:
-        w = self.gamma_inv.apply_vertex(v)
-        nu = w.center.valuation()
-        return nu >= w.level or w.level - nu <= self.width
+        u1, u2, level = self.gamma_inv.image(v)
+        # nu(center(w)) = nu(u1) - nu(u2) against level, both shifted by
+        # nu(u2), so that u1 may be 0
+        nu, top = u1.valuation(), level + u2.valuation()
+        return nu >= top or top - nu <= self.width
 
     def tubular(self, w) -> "Tube":
         return Tube(self.field, self.xi1, self.xi2, self.width + Fraction(w))
@@ -408,7 +426,7 @@ class Horoball(ConvexSubtree):
         self.level = Fraction(level)
 
     def contains(self, v: Vertex) -> bool:
-        return self.witness_inv.apply_vertex(v).level <= self.level
+        return self.witness_inv.image(v)[2] <= self.level
 
     def tubular(self, w) -> "Horoball":
         return Horoball(self.field, self.witness, self.level + Fraction(w))

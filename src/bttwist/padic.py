@@ -366,11 +366,33 @@ class LocalField:
     def _val_of_norm(self, norm: int, den: int) -> Fraction:
         """nu(num / den) from the integer norm of num."""
         p = self.p
-        m = vp_int(norm, p) - self.degree * vp_int(den, p)
+        return self.val_of_units(vp_int(norm, p) - self.degree * vp_int(den, p))
+
+    def val_of_units(self, m: int) -> Fraction:
+        """The valuation m / degree, one shared Fraction per m."""
         val = self._vals.get(m)
         if val is None:
             val = self._vals[m] = Fraction(m, self.degree)
         return val
+
+    def val_units(self, x: "FieldElement"):
+        """nu(x) * degree, an int; INFINITY for x = 0."""
+        v = x.valuation()
+        return v if v is INFINITY else v.numerator * self.degree // v.denominator
+
+    def congruent(self, x: "FieldElement", y: "FieldElement", r: Fraction,
+                  k: int = 0) -> bool:
+        """Is nu(x - y) >= r + k / degree?  Decided in integers from the
+        tower norm of the difference over x.den * y.den, left unreduced."""
+        if x.field is not self or y.field is not self:
+            raise InternalInvariant(f"mixed fields: {x.field} and {y.field}")
+        dx, dy, n, p = x.den, y.den, self.degree, self.p
+        num = tuple([a * dy - b * dx for a, b in zip(x.num, y.num)])
+        if not any(num):
+            return True
+        norm, _ = self._tower_norm(num, False)
+        k += n * vp_int(dx * dy, p) - (-r.numerator * n // r.denominator)
+        return k <= 0 or norm % p ** k == 0
 
     def valuation(self, x: "FieldElement"):
         if x._val is None:

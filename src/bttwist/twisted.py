@@ -100,34 +100,31 @@ class TwistedTree:
         x = BoundaryPoint.of(x)
         return self.cocycle[sigma].apply_boundary(x.galois(sigma))
 
+    def fixes(self, sigma: int, v: Vertex) -> bool:
+        """apply(sigma, v) == v, by `MoebiusMap.sends`: no image is built."""
+        moved = Vertex(v.center.conj(sigma), v.level)
+        return (moved == v if sigma in self.cocycle.scalar
+                else self.cocycle[sigma].sends(moved, v))
+
     def invariant_vertices(self, subgroup, window,
                            include_midpoints: bool = False):
         """Window vertices fixed by the whole subgroup; optionally also the
         midpoints of edges that every element fixes or swaps end for end and
-        some element swaps.  Each twisted action is computed at most once."""
+        some element swaps.  An element fixes or swaps an edge exactly when
+        it fixes the midpoint, whose image interpolates the ends' images;
+        then some element swaps it exactly when an end is moved."""
+        def fixed(v):
+            return all(self.fixes(s, v) for s in subgroup)
+
         verts = window.vertices
-        images = {}
-
-        def image(s, i):
-            if (s, i) not in images:
-                images[s, i] = self.apply(s, verts[i])
-            return images[s, i]
-
-        out = [v for i, v in enumerate(verts)
-               if all(image(s, i) == v for s in subgroup)]
+        ok = [fixed(v) for v in verts]
+        out = [v for v, fx in zip(verts, ok) if fx]
         if include_midpoints:
             for pi, ci in window.edges:
-                p, c = verts[pi], verts[ci]
-                swapped = False
-                for s in subgroup:
-                    sp, sc = image(s, pi), image(s, ci)
-                    if sp == c and sc == p:
-                        swapped = True
-                    elif not (sp == p and sc == c):
-                        break
-                else:
-                    if swapped:
-                        out.append(Vertex(c.center, (p.level + c.level) / 2))
+                mid = Vertex(verts[ci].center,
+                             (verts[pi].level + verts[ci].level) / 2)
+                if not ok[ci] and fixed(mid):
+                    out.append(mid)
         return out
 
 
@@ -275,7 +272,7 @@ class VertexOrder:
             stab = self._stabilizer
             if any(sigma ^ k in fixed for k in stab):
                 fixed[sigma] = False  # that sigma ^ k is outside stab
-            elif self.tree.apply(sigma, self.v) == self.v:
+            elif self.tree.fixes(sigma, self.v):
                 coset = [sigma ^ k for k in stab]
                 fixed.update(dict.fromkeys(coset, True))
                 stab.extend(coset)

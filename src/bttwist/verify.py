@@ -1,13 +1,16 @@
 """The acceptance battery: every headline number and law, checked exactly.
 
-Each check returns (ok, detail).  `run_all` prints one line per criterion;
-the test suite asserts the same functions, so the CLI and pytest agree by
-construction.
+Each check returns (ok, detail).  `run_all` prints one line per criterion,
+then writes the seconds each took to stderr; the test suite asserts the same
+functions, so the CLI and pytest agree by construction.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -300,15 +303,23 @@ CHECKS = [
 
 
 def run_all(fast: bool = False) -> bool:
-    all_ok = True
-    shared_table = counting.table1()
-    for name, fn in CHECKS:
-        if fn is check_table1 or fn is check_prop_7_6:
-            ok, detail = fn(shared_table)
-        elif fn in (check_engines, check_twisted_laws):
-            ok, detail = fn(fast=fast)
-        else:
-            ok, detail = fn()
-        all_ok &= ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    """A PASS/FAIL line per criterion, then to stderr the seconds of table1
+    (shared by criteria 2 and 7) and of each criterion run, even on a raise."""
+    all_ok, seconds, start = True, {}, time.perf_counter()
+    try:
+        shared_table = counting.table1()
+        seconds["table1"] = time.perf_counter() - start
+        for name, fn in CHECKS:
+            start = time.perf_counter()
+            if fn is check_table1 or fn is check_prop_7_6:
+                ok, detail = fn(shared_table)
+            elif fn in (check_engines, check_twisted_laws):
+                ok, detail = fn(fast=fast)
+            else:
+                ok, detail = fn()
+            seconds[name] = time.perf_counter() - start
+            all_ok &= ok
+            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    finally:
+        print(json.dumps({"verify_seconds": seconds}), file=sys.stderr)
     return all_ok

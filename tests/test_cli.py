@@ -251,3 +251,34 @@ def test_verify_fast_with_asserts_stripped():
     proc = run_cli("verify", "--fast", python_flags=("-O",), check=False)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
+    # stdout is the ten PASS lines alone; the seconds go to stderr as one
+    # JSON object: the shared table1, then each criterion in order
+    from bttwist.verify import CHECKS
+    names = [name for name, _ in CHECKS]
+    assert [line.split(": ")[0] for line in proc.stdout.splitlines()] == [
+        f"PASS  {name}" for name in names]
+    (line,) = proc.stderr.splitlines()
+    seconds = json.loads(line)["verify_seconds"]
+    assert list(seconds) == ["table1"] + names
+    assert all(isinstance(t, float) and t >= 0 for t in seconds.values())
+
+
+def test_verify_error_json_stays_the_last_stderr_line(monkeypatch):
+    from bttwist import verify
+    from bttwist.errors import NotAUnit
+
+    def broken():
+        raise NotAUnit("criterion raised")
+
+    monkeypatch.setattr(verify, "CHECKS", [verify.CHECKS[3],
+                                           ("x broken", broken)])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["verify", "--fast"])
+    assert rc == 1
+    assert out.getvalue().startswith("PASS  4 biquadratic-10:")
+    timing, error = err.getvalue().splitlines()
+    assert list(json.loads(timing)["verify_seconds"]) == [
+        "table1", "4 biquadratic-10"]
+    assert json.loads(error) == {"error": "NotAUnit",
+                                 "message": "criterion raised"}

@@ -5,8 +5,9 @@ The stabilizer of a vertex is a subgroup of the Galois group, so
 Whatever order the masks are asked in, each answer must be whether
 `TwistedTree.apply` fixes the vertex: on windows with their edge midpoints,
 under the standard cocycles of every `count-local` case of the golden file
-and of `table1`.  One `table1` computes the action at most 94 times and
-runs the pivot kernel 65 times: relative unramified descent decides the
+and of `table1`.  One `table1` asks `TwistedTree.fixes`, the query
+`fixed_by` puts to the action, at most 94 times and runs the pivot kernel
+65 times: relative unramified descent decides the
 other 24 ramified pairs, those of the six ramified quadratics, from the
 quartic that adds sqrt -3.
 """
@@ -72,15 +73,15 @@ def test_fixed_by_on_the_table1_cocycle():
 
 
 def test_one_table1_within_its_action_and_kernel_counts(monkeypatch):
-    applies, kernels = [], []
-    apply, kernel = TwistedTree.apply, twisted.pivot_valuation_sum
+    fixes, kernels = [], []
+    fix, kernel = TwistedTree.fixes, twisted.pivot_valuation_sum
     monkeypatch.setattr(
-        TwistedTree, "apply",
-        lambda self, s, x: applies.append(s) or apply(self, s, x))
+        TwistedTree, "fixes",
+        lambda self, s, v: fixes.append(s) or fix(self, s, v))
     monkeypatch.setattr(
         twisted, "pivot_valuation_sum",
         lambda *args: kernels.append(args[0]) or kernel(*args))
     with contextlib.redirect_stdout(io.StringIO()):
         counting.table1()
-    assert len(applies) <= 94
+    assert 0 < len(fixes) <= 94
     assert len(kernels) == 65
