@@ -6,8 +6,8 @@ import sys
 from fractions import Fraction
 
 from bttwist.padic import make_field
-from bttwist.bttree import Vertex, Window, emit_dot
-from bttwist.branch import branch_member, mat
+from bttwist.bttree import MoebiusMap, Vertex, Window, emit_dot
+from bttwist.branch import branch_member
 from bttwist.quatalg import q8_trivialization, standard_groups
 
 
@@ -24,9 +24,9 @@ def main():
             return all(branch_member(m, v) for m in self.mats)
 
     jobs = {
-        "nilpotent": (q2, [mat(q2, [[0, 1], [0, 0]])],
+        "nilpotent": (q2, [MoebiusMap.from_rows(q2, [[0, 1], [0, 0]])],
                       Vertex(q2.zero, Fraction(0)), 2),
-        "width_two_ball": (q2, [mat(q2, [[0, 20], [1, 0]])],
+        "width_two_ball": (q2, [MoebiusMap.from_rows(q2, [[0, 20], [1, 0]])],
                            Vertex(q2.from_rational(2), Fraction(2)), 3),
     }
     omega = make_field(2, (-1, -3, 2))

@@ -21,17 +21,6 @@ from .bttree import (
     Vertex,
 )
 
-Matrix2 = MoebiusMap  # same data; branch code reads it as a plain matrix
-
-
-def mat(field: LocalField, rows) -> Matrix2:
-    return Matrix2.from_rows(field, rows)
-
-
-def trace(q: Matrix2) -> FieldElement:
-    return q.a + q.d
-
-
 class QuadClass:
     """The kind of the quadratic algebra a matrix generates; equal by its
     three fields."""
@@ -73,11 +62,11 @@ def try_sqrt(field: LocalField, x: FieldElement):
     return element_sqrt(x)
 
 
-def classify(q: Matrix2, field: LocalField) -> QuadClass:
-    t = trace(q)
-    disc = t * t - 4 * q.det()
-    if q.b.is_zero() and q.c.is_zero() and q.a == q.d:
+def classify(q: MoebiusMap, field: LocalField) -> QuadClass:
+    if q.is_scalar():
         return QuadClass("scalar")
+    t = q.trace()
+    disc = t * t - 4 * q.det()
     if disc.is_zero():
         return QuadClass("nonetale")
     defect = field.quadratic_defect(disc)
@@ -99,7 +88,7 @@ def classify(q: Matrix2, field: LocalField) -> QuadClass:
     return QuadClass("etale_field", ramified=ramified)
 
 
-def _eigen_direction(q: Matrix2, lam: FieldElement) -> BoundaryPoint:
+def _eigen_direction(q: MoebiusMap, lam: FieldElement) -> BoundaryPoint:
     # kernel of (q - lam): a fixed point of the Moebius transformation
     if not q.b.is_zero():
         vec = (q.b, lam - q.a)
@@ -113,7 +102,7 @@ def _eigen_direction(q: Matrix2, lam: FieldElement) -> BoundaryPoint:
     return BoundaryPoint(x / y)
 
 
-def branch_closed_form(q: Matrix2, field: LocalField) -> ConvexSubtree:
+def branch_closed_form(q: MoebiusMap, field: LocalField) -> ConvexSubtree:
     """The branch of a single matrix, by case analysis on K(q).
 
     Raises NeedsExtension for irreducible characteristic polynomials; see
@@ -123,10 +112,10 @@ def branch_closed_form(q: Matrix2, field: LocalField) -> ConvexSubtree:
     if cls.kind == "scalar":
         return WHOLE if q.a.valuation() >= 0 else EMPTY
     if cls.kind == "nonetale":
-        s = trace(q) / 2
+        s = q.trace() / 2
         if s.valuation() < 0:
             return EMPTY
-        n0 = Matrix2(q.a - s, q.b, q.c, q.d - s)
+        n0 = MoebiusMap(q.a - s, q.b, q.c, q.d - s)
         return _nilpotent_horoball(n0, field)
     if cls.kind == "etale_split":
         lam1, lam2 = cls.eigenvalues
@@ -138,7 +127,7 @@ def branch_closed_form(q: Matrix2, field: LocalField) -> ConvexSubtree:
     raise NeedsExtension("characteristic polynomial irreducible over the field")
 
 
-def _nilpotent_horoball(n0: Matrix2, field: LocalField) -> ConvexSubtree:
+def _nilpotent_horoball(n0: MoebiusMap, field: LocalField) -> ConvexSubtree:
     # n0 nonzero nilpotent; branch = {v : level(gamma^-1 . v) <= nu(content)}
     if not (n0.a.is_zero() and n0.b.is_zero()):
         k = (n0.b, -n0.a)
@@ -149,11 +138,11 @@ def _nilpotent_horoball(n0: Matrix2, field: LocalField) -> ConvexSubtree:
         m = (field.zero, field.one)
     n0m = (n0.a * m[0] + n0.b * m[1], n0.c * m[0] + n0.d * m[1])
     c = n0m[0] / k[0] if not k[0].is_zero() else n0m[1] / k[1]
-    witness = Matrix2(k[0], m[0], k[1], m[1])
+    witness = MoebiusMap(k[0], m[0], k[1], m[1])
     return Horoball(field, witness, c.valuation())
 
 
-def branch_with_extension(q: Matrix2, field: LocalField):
+def branch_with_extension(q: MoebiusMap, field: LocalField):
     """Closed form, passing to a model splitting extension when needed.
 
     Returns (subtree, ambient_field); the subtree lives in the ambient tree
@@ -163,7 +152,7 @@ def branch_with_extension(q: Matrix2, field: LocalField):
         return branch_closed_form(q, field), field
     except NeedsExtension:
         pass
-    t = trace(q)
+    t = q.trace()
     disc = t * t - 4 * q.det()
     if not disc.is_rational():
         raise NeedsExtension("cannot model a splitting field for this matrix")
@@ -195,12 +184,11 @@ def lift_vertex(v: Vertex, big: LocalField) -> Vertex:
     return Vertex(lift_element(v.center, big), v.level)
 
 
-def lift_matrix(q: Matrix2, big: LocalField) -> Matrix2:
-    return Matrix2(lift_element(q.a, big), lift_element(q.b, big),
-                   lift_element(q.c, big), lift_element(q.d, big))
+def lift_matrix(q: MoebiusMap, big: LocalField) -> MoebiusMap:
+    return MoebiusMap(*(lift_element(x, big) for x in q.entries))
 
 
-def conjugate_by_vertex(q: Matrix2, v: Vertex) -> tuple:
+def conjugate_by_vertex(q: MoebiusMap, v: Vertex) -> tuple:
     """M^-1 q M = [[x11, x12], [x21, x22]] as (x11, x12, x21, x22), where
     M = [[t, a], [0, 1]] is the basis of the vertex B(a, r), t = pi^(r e)."""
     f, a = v.field, v.center
@@ -211,7 +199,7 @@ def conjugate_by_vertex(q: Matrix2, v: Vertex) -> tuple:
             ca + q.d)
 
 
-def branch_member(q: Matrix2, v: Vertex) -> bool:
+def branch_member(q: MoebiusMap, v: Vertex) -> bool:
     """Integrality oracle: M^-1 q M has integral entries, M the vertex basis."""
     x11, x12, x21, x22 = conjugate_by_vertex(q, v)
     for entry in (x22, x21, x12, x11):
@@ -220,9 +208,9 @@ def branch_member(q: Matrix2, v: Vertex) -> bool:
     return True
 
 
-def unit_fixed_points(q: Matrix2, window) -> list:
+def unit_fixed_points(q: MoebiusMap, window) -> list:
     """Vertices of the window fixed by the Moebius action of an integral unit."""
-    t, n = trace(q), q.det()
+    t, n = q.trace(), q.det()
     if t.valuation() < 0 or not (n.valuation() == 0):
         raise NotAUnit("need an integral matrix with unit determinant")
     return [v for v in window if q.sends(v, v)]
@@ -240,7 +228,7 @@ def can_extend(field: LocalField, d: int) -> bool:
         return False
 
 
-def sample_integral_matrix(field: LocalField, rng) -> Matrix2:
+def sample_integral_matrix(field: LocalField, rng) -> MoebiusMap:
     """A random integral matrix, drawn with rng (a `random.Random`), whose
     splitting data stays inside the model.
 
@@ -266,13 +254,13 @@ def sample_integral_matrix(field: LocalField, rng) -> Matrix2:
     kind = rng.choice(["scalar", "nilpotent", "split", "companion"])
     if kind == "scalar":
         s = integral_elt()
-        core = Matrix2(s, zero, zero, s)
+        core = MoebiusMap(s, zero, zero, s)
     elif kind == "nilpotent":
         s = integral_elt()
         c = field.pi_pow(rng.randint(0, 2))
-        core = Matrix2(s, c, zero, s)
+        core = MoebiusMap(s, c, zero, s)
     elif kind == "split":
-        core = Matrix2(integral_elt(), zero, zero, integral_elt())
+        core = MoebiusMap(integral_elt(), zero, zero, integral_elt())
     else:
         while True:
             t = field.from_rational(rng.randint(-6, 6))
@@ -283,10 +271,10 @@ def sample_integral_matrix(field: LocalField, rng) -> Matrix2:
             d, _ = squarefree_part(disc.rational_value().numerator)
             if field.mask_of(d) is not None or can_extend(field, d):
                 break
-        core = Matrix2(zero, one, -n, t)
+        core = MoebiusMap(zero, one, -n, t)
     while True:
-        g = Matrix2(integral_elt(), integral_elt(),
-                    integral_elt(), integral_elt())
+        g = MoebiusMap(integral_elt(), integral_elt(),
+                       integral_elt(), integral_elt())
         if g.det().valuation() == 0:
             break
     return g * core * g.inv()

@@ -13,7 +13,7 @@ import os
 from fractions import Fraction
 
 from .errors import DivisionByZero, InternalInvariant, WindowTooLarge
-from .padic import INFINITY, FieldElement, LocalField, Subfield, val_min
+from .padic import FieldElement, LocalField, Subfield, val_min
 
 
 DEFAULT_VERTEX_CAP = 10 ** 6
@@ -117,35 +117,43 @@ class Vertex:
 
 
 def _reduce_center(a: FieldElement, n_end: int) -> FieldElement:
-    """Canonical representative of a modulo pi^n_end * O."""
+    """Canonical representative of a modulo pi^n_end * O: its digits."""
     f = a.field
-    v = a.valuation()
-    if v is INFINITY:
-        return f.zero
-    j = int((v * f.e) // 1)
-    out = f.zero
-    res = a
-    while j < n_end:
-        rv = res.valuation()
-        if rv is INFINITY or rv >= Fraction(n_end, f.e):
-            break
-        pj = f.pi_pow(j)
-        for c in f.residue_reps:
-            if c.is_zero():
-                continue
-            cand = res - c * pj
-            if cand.valuation() > Fraction(j, f.e):
-                out = out + c * pj
-                res = cand
+    rest = digit_rest(a, Fraction(n_end, f.e), f.e, f.residue_reps[1:],
+                      f.pi_pow)
+    if rest is None:
+        # valuations lie in (1/e)Z, and a complete set of residue
+        # representatives has every digit
+        raise InternalInvariant(
+            f"no residue digit for {a!r} below level {n_end}/{f.e} in {f}")
+    return a - rest
+
+
+def digit_rest(res: FieldElement, stop, e: int, reps, pi_pow):
+    """What is left of res once its greedy pi-adic digits below valuation
+    `stop` are taken off (J.-P. Serre, Local Fields, ch. II §4).
+
+    While nu(res) < stop, the leading term c * pi^n of res is subtracted:
+    n = nu(res) * e, pi_pow(n) has valuation n / e, and the digit c is the
+    first of `reps` (nonzero residue representatives) with
+    nu(res - c pi^n) > nu(res).  Zero digits are skipped, not tried.  None
+    when a leading term has no digit: nu(res) is off (1/e)Z, or no
+    representative matches."""
+    v = res.valuation()
+    while v < stop:
+        n, rem = divmod(v.numerator * e, v.denominator)
+        if rem:
+            return None
+        t = pi_pow(n)
+        for c in reps:
+            cand = res - c * t
+            w = cand.valuation()
+            if w > v:
+                res, v = cand, w
                 break
         else:
-            if rv <= Fraction(j, f.e):
-                # rv lies in (1/e)Z, so res is pi^j times a unit, and a
-                # complete set of residue representatives has its digit
-                raise InternalInvariant(
-                    f"no residue digit for {res!r} at level {j}/{f.e} in {f}")
-        j += 1
-    return out
+            return None
+    return res
 
 
 def distance(v: Vertex, w: Vertex) -> Fraction:
@@ -167,8 +175,8 @@ def neighbors(v: Vertex) -> list:
 class Window:
     """All vertices within distance R of a center, via neighbor expansion."""
 
-    def __init__(self, center: Vertex, radius, cap=None):
-        cap = vertex_cap() if cap is None else cap
+    def __init__(self, center: Vertex, radius):
+        cap = vertex_cap()
         f = center.field
         step = Fraction(1, f.e)
         radius = Fraction(radius)
@@ -230,6 +238,35 @@ class MoebiusMap:
     def field(self) -> LocalField:
         return self.a.field
 
+    @property
+    def entries(self) -> tuple:
+        return self.a, self.b, self.c, self.d
+
+    def __eq__(self, other):
+        """Entry by entry (so a map is unhashable); `proj_eq` is equality
+        in PGL_2."""
+        if not isinstance(other, MoebiusMap):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __neg__(self) -> "MoebiusMap":
+        return MoebiusMap(-self.a, -self.b, -self.c, -self.d)
+
+    def __add__(self, other: "MoebiusMap") -> "MoebiusMap":
+        return MoebiusMap(self.a + other.a, self.b + other.b,
+                          self.c + other.c, self.d + other.d)
+
+    def scaled(self, s) -> "MoebiusMap":
+        """s times the matrix, for a field element or a rational s."""
+        return MoebiusMap(self.a * s, self.b * s, self.c * s, self.d * s)
+
+    def trace(self) -> FieldElement:
+        return self.a + self.d
+
+    def is_scalar(self) -> bool:
+        """Is this a scalar matrix (zero included)?"""
+        return self.b.is_zero() and self.c.is_zero() and self.a == self.d
+
     def det(self) -> FieldElement:
         return self.a * self.d - self.b * self.c
 
@@ -248,15 +285,12 @@ class MoebiusMap:
         )
 
     def galois(self, mask: int) -> "MoebiusMap":
-        return MoebiusMap(
-            self.a.conj(mask), self.b.conj(mask), self.c.conj(mask), self.d.conj(mask)
-        )
+        return MoebiusMap(*(x.conj(mask) for x in self.entries))
 
     def proj_eq(self, other: "MoebiusMap") -> bool:
         """Equality in PGL_2 (up to scalars): the same zero pattern, and
         x y_k == y x_k for each entry pair against the first nonzero k."""
-        pairs = [(x, y) for x, y in zip((self.a, self.b, self.c, self.d),
-                                        (other.a, other.b, other.c, other.d))
+        pairs = [(x, y) for x, y in zip(self.entries, other.entries)
                  if not (x.is_zero() and y.is_zero())]
         if any(x.is_zero() or y.is_zero() for x, y in pairs):
             return False
@@ -452,43 +486,14 @@ def tubular(S: ConvexSubtree, w) -> ConvexSubtree:
 def approximates_from(a: FieldElement, sub: Subfield, target) -> bool:
     """Is there lambda in the subfield with nu(a - lambda) >= target?
 
-    Greedy digit expansion of a over the subfield's uniformizer and residue
-    representatives; exact (the greedy digit is unique when it exists).
+    The digit expansion of a over the subfield's residue representatives
+    and powers of its uniformizer, embedded; exact (the greedy digit is
+    unique when it exists).
     """
-    if a.valuation() is INFINITY:
-        return True
-    eE = sub.field.e
-    piE = sub.embed(sub.field.uniformizer)
-    reps = [sub.embed(r) for r in sub.field.residue_reps]
-    res = a
-    v = res.valuation()
-    j = int((v * eE) // 1)
-    if v >= Fraction(target):
-        return True
-    stop = Fraction(target) * eE
-    while Fraction(j) < stop:
-        rv = res.valuation()
-        if rv is INFINITY or rv >= Fraction(target):
-            return True
-        if rv >= Fraction(j + 1, eE):
-            j += 1
-            continue
-        pj = piE ** j
-        hit = False
-        for c in reps:
-            if c.is_zero():
-                continue
-            cand = res - c * pj
-            if cand.valuation() > rv:
-                res = cand
-                hit = True
-                break
-        if not hit:
-            return False
-        # valuation strictly increased; re-anchor j
-        j = max(j, int((res.valuation() * eE) // 1)) if res.valuation() is not INFINITY else j + 1
-    rv = res.valuation()
-    return rv is INFINITY or rv >= Fraction(target)
+    E = sub.field
+    reps = [sub.embed(r) for r in E.residue_reps[1:]]
+    return digit_rest(a, target, E.e, reps,
+                      lambda n: sub.embed(E.pi_pow(n))) is not None
 
 
 def e_vertex_test_untwisted(v: Vertex, sub: Subfield) -> bool:

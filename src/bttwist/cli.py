@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .errors import BttwistError
 from .padic import INFINITY, make_field
-from .bttree import Vertex, Window, emit_dot
-from .branch import Matrix2, branch_member, branch_with_extension, lift_vertex
+from .bttree import MoebiusMap, Vertex, Window, emit_dot
+from .branch import branch_member, branch_with_extension, lift_vertex
 from . import enumerate as counting
 from . import globalforms
 
@@ -81,7 +81,7 @@ def cmd_field(args) -> int:
 def cmd_branch(args) -> int:
     p, sqrts = args.field
     f = make_field(p, sqrts)
-    q = Matrix2.from_rows(f, args.matrix)
+    q = MoebiusMap.from_rows(f, args.matrix)
     S, ambient = branch_with_extension(q, f)
     center = Vertex(f.zero, Fraction(0))
     win = Window(center, args.radius)

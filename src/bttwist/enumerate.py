@@ -81,10 +81,10 @@ class CountingContext:
     def _check_irreducible(self):
         """The generated algebra must be all of the 2x2 matrices."""
         elems = [MoebiusMap.identity(self.ambient)] + list(self.images)
-        r = rank([[m.a, m.b, m.c, m.d] for m in elems])
+        r = rank([m.entries for m in elems])
         while r < 4:
             cand = elems + [x * y for x in elems for y in self.images]
-            new_r = rank([[m.a, m.b, m.c, m.d] for m in cand])
+            new_r = rank([m.entries for m in cand])
             if new_r == r:
                 break
             elems, r = cand, new_r

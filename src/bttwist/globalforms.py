@@ -398,16 +398,14 @@ def resolve_case_c(rep, hh2: int) -> int:
     vertex and the nearest vertex containing the image."""
     i_mat, j_mat = rep
     f = i_mat.a.field
-    neg1 = f.from_rational(-1)
-    if not (_is_scalar(i_mat * i_mat, neg1) and _is_scalar(j_mat * j_mat, neg1)):
+    minus_one = -MoebiusMap.identity(f)
+    if not (i_mat * i_mat == minus_one and j_mat * j_mat == minus_one):
         raise InvalidRepresentation("i^2 = j^2 = -1 fails")
     anti = i_mat * j_mat
-    ji = j_mat * i_mat
-    if not (anti.a == -ji.a and anti.b == -ji.b and anti.c == -ji.c
-            and anti.d == -ji.d):
+    if anti != -(j_mat * i_mat):
         raise InvalidRepresentation("ij = -ji fails")
     for m in (i_mat, j_mat, anti):
-        if (m.a + m.d).valuation() < 0 or m.det().valuation() < 0:
+        if m.trace().valuation() < 0 or m.det().valuation() < 0:
             raise InvalidRepresentation("image is not integral at the dyadic prime")
     v0 = Vertex(f.zero, Fraction(0))
     dmin = distance(v0, nearest_member([i_mat, j_mat], v0))
@@ -418,7 +416,3 @@ def resolve_case_c(rep, hh2: int) -> int:
         return hh2
     raise InvalidRepresentation(
         f"unexpected distance {dmin} from the standard vertex to the branch")
-
-
-def _is_scalar(m: MoebiusMap, s) -> bool:
-    return m.b.is_zero() and m.c.is_zero() and m.a == s and m.d == s

@@ -155,14 +155,35 @@ def parity(x: int) -> int:
     return bin(x).count("1") & 1
 
 
+# Miller-Rabin to these bases is exact below _PRIME_TEST_LIMIT
+# (J. Sorenson and J. Webster, Math. Comp. 86 (2017), 985-1003)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; NumberTooLarge past _PRIME_TEST_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _PRIME_TEST_LIMIT:
+        raise NumberTooLarge(f"cannot decide whether {n} is prime: it is "
+                             f"not below {_PRIME_TEST_LIMIT}")
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

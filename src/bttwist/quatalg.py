@@ -15,8 +15,6 @@ from .padic import FieldElement, LocalField, rational_sqrt, squarefree_part
 from .bttree import MoebiusMap
 from .linalg import det, inverse, mat_vec
 
-Matrix2 = MoebiusMap
-
 
 class QuaternionAlgebra:
     """(a, b / Q): parameters are rationals; scalars live in any model.
@@ -151,28 +149,24 @@ def maxorder_generators(pi: int, delta: int):
 # -- trivializations -----------------------------------------------------------
 
 
-def _vec(m: Matrix2):
-    return [m.a, m.b, m.c, m.d]
-
-
 class _BasisCoordinates:
     """Quaternion coordinates against a trivialization's basis (the images
     of 1, i, j, k); T is the matrix whose columns are the basis matrices."""
 
     @cached_property
     def _to_coords(self):
-        return inverse(list(zip(*map(_vec, self.basis))))
+        return inverse(list(zip(*(m.entries for m in self.basis))))
 
     @cached_property
     def basis_valuation(self):
         """v(det T).  The order of every vertex has volume -v(det T) in
         quaternion coordinates, because conjugation has determinant 1."""
-        return det([_vec(m) for m in self.basis]).valuation()
+        return det([m.entries for m in self.basis]).valuation()
 
 
-def _matrix_coords(self, X: Matrix2):
+def _matrix_coords(self, X: MoebiusMap):
     """Quaternion coordinates (as field elements) of a 2x2 matrix."""
-    return tuple(mat_vec(self._to_coords, _vec(X)))
+    return tuple(mat_vec(self._to_coords, X.entries))
 
 
 def _check_alg(q: Quaternion, alg: QuaternionAlgebra):
@@ -189,33 +183,30 @@ class Trivialization(_BasisCoordinates):
     sigma(J) = -J and a companion in the i-subalgebra otherwise."""
 
     def __init__(self, alg: QuaternionAlgebra, field: LocalField,
-                 I: Matrix2, J: Matrix2, flip_d: int):
+                 I: MoebiusMap, J: MoebiusMap, flip_d: int):
         self.alg = alg
         self.field = field
         self.I = I
         self.J = J
         self.flip_d = flip_d
-        one = field.one
-        ident = Matrix2(one, field.zero, field.zero, one)
-        aI = _scalar_mat(field, alg.a)
-        bI = _scalar_mat(field, alg.b)
-        if not _mat_eq(I * I, aI):
+        ident = MoebiusMap.identity(field)
+        if I * I != ident.scaled(alg.a):
             raise InternalInvariant("i-image relation fails")
-        if not _mat_eq(J * J, bI):
+        if J * J != ident.scaled(alg.b):
             raise InternalInvariant("j-image relation fails")
-        if not _mat_eq(I * J, _neg(J * I)):
+        if I * J != -(J * I):
             raise InternalInvariant("anticommutation fails")
         self.K = I * J
         self.basis = (ident, I, J, self.K)
         self.cocycle_witness = self._find_witness()
 
-    def _find_witness(self) -> Matrix2:
+    def _find_witness(self) -> MoebiusMap:
         """W in the i-subalgebra span{1, I} conjugating sigma(J) back to J."""
         f = self.field
         mask = _flip_mask(f, self.flip_d)
         sJ = self.J.galois(mask)
-        if _mat_eq(sJ, self.J):
-            return Matrix2(f.one, f.zero, f.zero, f.one)
+        if sJ == self.J:
+            return MoebiusMap.identity(f)
         # write J = D(x + y I) with D = diag(1,-1): x = J_11, y = J_12
         x, y = self.J.a, self.J.b
         sx, sy = x.conj(mask), y.conj(mask)
@@ -228,33 +219,15 @@ class Trivialization(_BasisCoordinates):
         else:
             raise FieldTooSmall("j-image not adapted to the flip generator")
         # W = w0 + w1 I
-        W = Matrix2(w0, w1, f.from_rational(self.alg.a) * w1, w0)
+        W = MoebiusMap(w0, w1, f.from_rational(self.alg.a) * w1, w0)
         return W
 
-    def image(self, q: Quaternion) -> Matrix2:
+    def image(self, q: Quaternion) -> MoebiusMap:
         _check_alg(q, self.alg)
-        out = None
-        for c, m in zip(q.x, self.basis):
-            term = Matrix2(m.a * c, m.b * c, m.c * c, m.d * c)
-            out = term if out is None else Matrix2(
-                out.a + term.a, out.b + term.b, out.c + term.c, out.d + term.d)
-        return out
+        one, i, j, k = (m.scaled(c) for c, m in zip(q.x, self.basis))
+        return one + i + j + k
 
     matrix_coords = _matrix_coords
-
-
-def _scalar_mat(field, c) -> Matrix2:
-    z = field.zero
-    e = field.from_rational(c)
-    return Matrix2(e, z, z, e)
-
-
-def _neg(m: Matrix2) -> Matrix2:
-    return Matrix2(-m.a, -m.b, -m.c, -m.d)
-
-
-def _mat_eq(m1: Matrix2, m2: Matrix2) -> bool:
-    return (m1.a == m2.a and m1.b == m2.b and m1.c == m2.c and m1.d == m2.d)
 
 
 def _flip_mask(field: LocalField, d: int) -> int:
@@ -275,8 +248,8 @@ def standard_trivialization(alg: QuaternionAlgebra, field: LocalField,
     the root, so the induced cocycle has an explicit witness."""
     one, zero = field.one, field.zero
     a_el = field.from_rational(alg.a)
-    I = Matrix2(zero, one, a_el, zero)
-    J = Matrix2(x, y, -(a_el * y), -x)
+    I = MoebiusMap(zero, one, a_el, zero)
+    J = MoebiusMap(x, y, -(a_el * y), -x)
     return Trivialization(alg, field, I, J, flip_d)
 
 
@@ -380,7 +353,7 @@ class _ComposedTrivialization(_BasisCoordinates):
         self.cocycle_witness = inner.I  # the image of the (-2,-3) i
         self.basis = tuple(inner.image(q) for q in _PHI_BASIS)
 
-    def image(self, q: Quaternion) -> Matrix2:
+    def image(self, q: Quaternion) -> MoebiusMap:
         _check_alg(q, HAMILTON)
         return self.inner.image(_phi(q))
 

@@ -10,7 +10,6 @@ vertex must be spanned over O_L by its E-rational quaternions.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import CocycleLawViolated, InternalInvariant
@@ -18,7 +17,6 @@ from .padic import LocalField, Subfield, parity, xor_basis
 from .bttree import BoundaryPoint, MoebiusMap, Vertex
 from .branch import conjugate_by_vertex
 from .linalg import inverse, pivot_valuation_sum
-from .quatalg import Matrix2
 
 
 class Cocycle:
@@ -36,8 +34,9 @@ class Cocycle:
         for s in range(field.degree):
             if s not in self.maps:
                 raise ValueError("cocycle must be defined on every element")
-        self.scalar = frozenset(s for s in range(field.degree)
-                                if _is_scalar(self.maps[s]))
+        self.scalar = frozenset(
+            s for s in range(field.degree)
+            if self.maps[s].is_scalar() and not self.maps[s].a.is_zero())
         for s in range(field.degree):
             for t in range(field.degree):
                 lhs = self.maps[s ^ t]
@@ -52,11 +51,6 @@ class Cocycle:
 
     def __getitem__(self, sigma: int) -> MoebiusMap:
         return self.maps[sigma]
-
-
-def _is_scalar(m: MoebiusMap) -> bool:
-    return (m.b.is_zero() and m.c.is_zero() and not m.a.is_zero()
-            and m.a == m.d)
 
 
 def trivial_cocycle(field: LocalField) -> Cocycle:
@@ -139,14 +133,11 @@ def order_lattice_of_vertex(triv, v: Vertex):
     a = v.center
     t = f.scale_of_valuation(v.level)
     zero, one = f.zero, f.one
-    M = Matrix2(a, t, one, zero)
+    M = MoebiusMap(a, t, one, zero)
     Minv = M.inv()
     vecs = []
-    for (r, c) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        E = Matrix2(one if (r, c) == (0, 0) else zero,
-                    one if (r, c) == (0, 1) else zero,
-                    one if (r, c) == (1, 0) else zero,
-                    one if (r, c) == (1, 1) else zero)
+    for k in range(4):  # the matrix units E_11, E_12, E_21, E_22
+        E = MoebiusMap(*(one if i == k else zero for i in range(4)))
         X = M * E * Minv
         vecs.append(tuple(triv.matrix_coords(X)))
     return vecs
@@ -171,12 +162,11 @@ class SubfieldLattice:
         self.f_rel = L.f // E.f
         u = L.one
         if self.f_rel == 2:
-            from .bttree import approximates_from
-            for r in L.residue_reps[1:]:
-                if not approximates_from(r, sub, Fraction(1, L.e)):
-                    u = r
-                    break
-            else:
+            # L.f <= 2, so E.f = 1: u is the first residue representative
+            # outside F_p, where r^p = r fails
+            u = next((r for r in L.residue_reps[1:]
+                      if (r ** L.p - r).valuation() == 0), None)
+            if u is None:
                 raise InternalInvariant("no residue generator found")
         self.mhat = [L.pi_pow(ti) * (u ** s)
                      for ti in range(self.e_rel) for s in range(self.f_rel)]

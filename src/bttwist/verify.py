@@ -14,11 +14,11 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from .padic import INFINITY, make_field
+from .padic import INFINITY, make_field, squarefree_part
 from .bttree import (Vertex, Window, distance, e_vertex_test_untwisted,
                      tubular)
 from .branch import (branch_member, branch_with_extension, lift_vertex,
-                     sample_integral_matrix, trace, unit_fixed_points)
+                     sample_integral_matrix, unit_fixed_points)
 from . import enumerate as counting
 from . import globalforms
 from .quatalg import maxorder_generators, find_trivialization
@@ -50,7 +50,7 @@ def check_table1(data=None) -> tuple:
     for fld, cnt in by_field.items():
         if len(fld) != 2:
             continue
-        span = {fld[0], fld[1], _sqfree(fld[0] * fld[1])}
+        span = {fld[0], fld[1], squarefree_part(fld[0] * fld[1])[0]}
         want = 6 if -3 in span else 10
         if cnt != want:
             return False, f"quartic {fld}: {cnt} != {want}"
@@ -62,15 +62,9 @@ def check_table1(data=None) -> tuple:
     return True, "14/14 rows match; summary 4/2 quadratics, 10/6 quartics"
 
 
-def _sqfree(n: int) -> int:
-    from .padic import squarefree_part
-    return squarefree_part(n)[0]
-
-
 def check_prop_7_2() -> tuple:
     """Criterion 3: over E*F the count is 6, with 2 over E and the other 4
     over F or F'."""
-    from .branch import branch_member
     from .twisted import VertexOrder
     for x in (-1, 2, 6):
         ctx = counting.make_context("q8", 2, (-3, x))
@@ -197,7 +191,7 @@ def check_engines(fast: bool = False, seed: int = 20240) -> tuple:
             for v, o in zip(win.vertices, oracle):
                 if S.contains(lift_vertex(v, amb)) != o:
                     return False, f"closed form vs oracle over {fld}: {q}"
-            t, d = trace(q), q.det()
+            t, d = q.trace(), q.det()
             if t.valuation() >= 0 and d.valuation() == 0:
                 fixed = unit_fixed_points(q, win)
                 fx = [any(v == u for u in fixed) for v in win.vertices]
@@ -212,7 +206,7 @@ def check_engines(fast: bool = False, seed: int = 20240) -> tuple:
         q = sample_integral_matrix(fld, rng)
         k = rng.randint(0, 2)
         alpha = fld.pi_pow(k)
-        qa = type(q)(q.a * alpha, q.b * alpha, q.c * alpha, q.d * alpha)
+        qa = q.scaled(alpha)
         S, amb = branch_with_extension(q, fld)
         Sa, amb_a = branch_with_extension(qa, fld)
         grown = tubular(S, alpha.valuation())

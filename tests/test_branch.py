@@ -6,15 +6,16 @@ import pytest
 
 from bttwist.errors import InternalInvariant, NeedsExtension, NotAUnit
 from bttwist.padic import make_field
-from bttwist.bttree import (BoundaryPoint, Horoball, Tube, Vertex, Window,
-                            distance, tubular)
-from bttwist.branch import (Matrix2, branch_closed_form, branch_member,
+from bttwist.bttree import (BoundaryPoint, Horoball, MoebiusMap, Tube,
+                            Vertex, Window, distance, tubular)
+from bttwist.branch import (branch_closed_form, branch_member,
                             branch_with_extension, classify, lift_element,
-                            lift_vertex, mat, sample_integral_matrix, trace,
-                            try_sqrt, unit_fixed_points)
+                            lift_vertex, sample_integral_matrix, try_sqrt,
+                            unit_fixed_points)
 from bttwist.enumerate import branch_vertices
 from convex_oracle import branch_of_family, line
 
+mat = MoebiusMap.from_rows
 Q2 = make_field(2, ())
 OMEGA = make_field(2, (-1, -3, 2))
 
@@ -25,7 +26,7 @@ class TestClassify:
         f = make_field(2, (-1,))
         n = 3 ** 40 + 7
         y = f.from_rational(n) + f.sqrt_gen(0) * (n + 2)
-        c = classify(Matrix2(y, f.zero, f.zero, f.zero), f)
+        c = classify(MoebiusMap(y, f.zero, f.zero, f.zero), f)
         assert c.kind == "etale_split"
         assert sorted(lam.key() for lam in c.eigenvalues) == sorted(
             [y.key(), f.zero.key()])
@@ -35,7 +36,7 @@ class TestClassify:
         f = make_field(2, (-3,))
         u = f.one
         eps = f.from_rational(4)
-        q = Matrix2(u, f.zero, f.zero, u + eps)
+        q = MoebiusMap(u, f.zero, f.zero, u + eps)
         c = classify(q, f)
         assert c.kind == "etale_split"
         assert {c.eigenvalues[0], c.eigenvalues[1]} == {u, u + eps}
@@ -82,7 +83,7 @@ class TestClosedForm:
 
     def test_split_tube_width_is_eigenvalue_gap(self):
         u = Q2.from_rational(1)
-        q = Matrix2(u, Q2.zero, Q2.zero, u + Q2.from_rational(4))
+        q = MoebiusMap(u, Q2.zero, Q2.zero, u + Q2.from_rational(4))
         S = branch_closed_form(q, Q2)
         assert isinstance(S, Tube) and S.width == 2
         # core is the line through the eigen-directions 0 and infinity
@@ -111,7 +112,7 @@ class TestOracle:
     def test_identity_everywhere(self):
         rng = random.Random(1)
         f = make_field(2, (2,))
-        one = Matrix2(f.one, f.zero, f.zero, f.one)
+        one = MoebiusMap(f.one, f.zero, f.zero, f.one)
         for _ in range(20):
             from helpers import rand_vertex
             assert branch_member(one, rand_vertex(f, rng))
@@ -123,8 +124,8 @@ class TestOracle:
     def test_division_generators_at_both_ends(self):
         L = make_field(2, (-3, 2))
         i_img = mat(L, [[0, 1], [2, 0]])
-        jm1 = Matrix2((L.sqrt_of(-3) - 1) / 2, L.zero, L.zero,
-                      (-L.sqrt_of(-3) - 1) / 2)
+        jm1 = MoebiusMap((L.sqrt_of(-3) - 1) / 2, L.zero, L.zero,
+                         (-L.sqrt_of(-3) - 1) / 2)
         v0 = Vertex(L.zero, Fraction(0))
         v1 = Vertex(L.zero, Fraction(-1))
         for v in (v0, v1):
@@ -146,7 +147,7 @@ class TestLift:
 class TestFamilies:
     def test_family_of_identity(self):
         from bttwist.bttree import WHOLE
-        one = Matrix2(Q2.one, Q2.zero, Q2.zero, Q2.one)
+        one = MoebiusMap(Q2.one, Q2.zero, Q2.zero, Q2.one)
         assert branch_of_family([one], Q2) is WHOLE
 
     def test_quaternion_generators_give_26(self):
@@ -164,8 +165,8 @@ class TestFamilies:
     def test_division_order_segment(self):
         L = make_field(2, (-3, 2))
         i_img = mat(L, [[0, 1], [2, 0]])
-        jm1 = Matrix2((L.sqrt_of(-3) - 1) / 2, L.zero, L.zero,
-                      (-L.sqrt_of(-3) - 1) / 2)
+        jm1 = MoebiusMap((L.sqrt_of(-3) - 1) / 2, L.zero, L.zero,
+                         (-L.sqrt_of(-3) - 1) / 2)
         S = branch_of_family([i_img, jm1], L)
         win = Window(Vertex(L.zero, Fraction(0)), 2)
         members = [v for v in win if S.contains(v)]
@@ -176,7 +177,7 @@ class TestFamilies:
 
 class TestFixedPoints:
     def test_identity_fixes_all(self):
-        one = Matrix2(Q2.one, Q2.zero, Q2.zero, Q2.one)
+        one = MoebiusMap(Q2.one, Q2.zero, Q2.zero, Q2.one)
         win = Window(Vertex(Q2.zero, Fraction(0)), 2)
         assert len(unit_fixed_points(one, win)) == len(win)
 
@@ -188,7 +189,7 @@ class TestFixedPoints:
     def test_unit_diagonal_fixes_standard_line(self):
         f = make_field(2, (-3,))
         u = (f.sqrt_gen(0) - 1) / 2  # a unit of infinite multiplicative order
-        q = Matrix2(f.one, f.zero, f.zero, u)
+        q = MoebiusMap(f.one, f.zero, f.zero, u)
         win = Window(Vertex(f.zero, Fraction(0)), 2)
         fixed = unit_fixed_points(q, win)
         for v in win:
@@ -222,7 +223,7 @@ class TestEngineProperties:
             oracle = [branch_member(q, v) for v in win]
             S, amb = branch_with_extension(q, fld)
             assert [S.contains(lift_vertex(v, amb)) for v in win] == oracle
-            t, d = trace(q), q.det()
+            t, d = q.trace(), q.det()
             if t.valuation() >= 0 and d.valuation() == 0:
                 fixed = unit_fixed_points(q, win)
                 assert [any(v == u for u in fixed) for v in win] == oracle
@@ -234,7 +235,7 @@ class TestEngineProperties:
         for _ in range(12):
             q = sample_integral_matrix(fld, rng)
             alpha = fld.pi_pow(rng.randint(0, 2))
-            qa = Matrix2(q.a * alpha, q.b * alpha, q.c * alpha, q.d * alpha)
+            qa = q.scaled(alpha)
             S, amb = branch_with_extension(q, fld)
             Sa, amb_a = branch_with_extension(qa, fld)
             grown = tubular(S, alpha.valuation())
@@ -258,8 +259,7 @@ class TestEngineProperties:
             base = branch_vertices([q], center)
             for k in range(3):
                 alpha = fld.pi_pow(k)
-                qa = Matrix2(q.a * alpha, q.b * alpha, q.c * alpha,
-                             q.d * alpha)
+                qa = q.scaled(alpha)
                 grown = {w.key() for v in base
                          for w in Window(v, alpha.valuation())}
                 assert {v.key() for v in branch_vertices([qa], center)} \
@@ -286,8 +286,8 @@ class TestEngineProperties:
         for _ in range(20):
             q = sample_integral_matrix(fld, rng)
             scale = Fraction(1, 2) if rng.random() < 0.5 else Fraction(1)
-            qs = Matrix2(q.a * scale, q.b * scale, q.c * scale, q.d * scale)
-            t, n = trace(qs), qs.det()
+            qs = q.scaled(scale)
+            t, n = qs.trace(), qs.det()
             integral = t.valuation() >= 0 and n.valuation() >= 0
             members = [v for v in win if branch_member(qs, v)]
             if integral:
@@ -303,8 +303,8 @@ class TestEngineProperties:
         for _ in range(10):
             q = sample_integral_matrix(fld, rng)
             # force base-field entries for the stability half
-            qb = Matrix2(*(fld.from_rational(x.coords[0]) for x in
-                           (q.a, q.b, q.c, q.d)))
+            qb = MoebiusMap(*(fld.from_rational(x.coords[0])
+                              for x in q.entries))
             members = [v for v in win if branch_member(qb, v)]
             for i in range(0, len(members), 5):
                 for j in range(0, len(members), 7):

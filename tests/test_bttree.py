@@ -115,6 +115,54 @@ class TestMoebius:
                    if not x.is_zero()) == -1
 
 
+class TestMatrixMethods:
+    """The matrix operations against their entrywise definitions."""
+
+    def test_against_the_entries(self):
+        rng = random.Random(19)
+        for f in (Q2, make_field(2, (-3,)), OMEGA, make_field(3, (-1, 3))):
+            for _ in range(20):
+                g, h = rand_moebius(f, rng), rand_moebius(f, rng)
+                s = rand_vertex(f, rng).center
+                assert g.entries == (g.a, g.b, g.c, g.d)
+                assert (g + h).entries == tuple(
+                    x + y for x, y in zip(g.entries, h.entries))
+                assert (-g).entries == tuple(-x for x in g.entries)
+                assert g.scaled(s).entries == tuple(x * s for x in g.entries)
+                assert g.scaled(Fraction(-2, 3)).entries == tuple(
+                    x * Fraction(-2, 3) for x in g.entries)
+                assert g.trace() == g.a + g.d
+                assert g == MoebiusMap(*g.entries) and g != h
+                zero = g + -g
+                assert all(x.is_zero() for x in zero.entries)
+                assert zero.is_scalar()  # the zero matrix is scalar too
+
+    def test_equality_is_entrywise_and_proj_eq_is_projective(self):
+        f = make_field(2, (-1,))
+        g = MoebiusMap.from_rows(f, [[1, 2], [3, 4]])
+        for s in (f.from_rational(3), f.sqrt_gen(0), f.from_rational(-1)):
+            assert g.scaled(s).proj_eq(g)
+            assert g.scaled(s) != g
+        assert -g != g and (-g).proj_eq(g)
+        assert g != "a matrix" and g.scaled(f.one) == g
+
+    def test_scalar_matrices(self):
+        f = make_field(2, (-3,))
+        one = MoebiusMap.identity(f)
+        w = (f.sqrt_gen(0) - 1) / 2
+        for s in (f.zero, f.one, w, f.from_rational(Fraction(5, 2))):
+            assert one.scaled(s).is_scalar()
+        assert not MoebiusMap(f.one, f.zero, f.zero, w).is_scalar()
+        assert not MoebiusMap.from_rows(f, [[1, 1], [0, 1]]).is_scalar()
+        assert not MoebiusMap.from_rows(f, [[1, 0], [1, 1]]).is_scalar()
+
+    def test_a_map_is_unhashable_like_a_vertex(self):
+        with pytest.raises(TypeError):
+            hash(MoebiusMap.identity(Q2))
+        with pytest.raises(TypeError):
+            hash(B(Q2, 0, 0))
+
+
 class TestPeak:
     def test_basics(self):
         assert peak(BoundaryPoint(Q2.zero), BoundaryPoint(Q2.one)) == B(Q2, 0, 0)
@@ -306,9 +354,10 @@ class TestWindows:
             assert len(Window(Vertex(fld.zero, Fraction(0)), R).vertices) \
                 == expect
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("BTTWIST_VERTEX_CAP", "100")
         with pytest.raises(WindowTooLarge):
-            Window(B(Q2, 0, 0), 10, cap=100)
+            Window(B(Q2, 0, 0), 10)
 
 
 class TestSubfieldVertices:

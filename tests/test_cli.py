@@ -148,6 +148,34 @@ def _main_in_process(*argv):
     return rc, out.getvalue()
 
 
+def test_large_prime_and_semiprime_are_decided_quickly():
+    # regression: primality was trial division up to sqrt(p), which took
+    # 14.6 s on this prime and about as long on the semiprime
+    semiprime = (10 ** 9 + 7) * (10 ** 9 + 9)
+    t0 = time.perf_counter()
+    assert _main_in_process("field", "-p", "10000000000000061") == (0, (
+        '{"degree": 1, "e": 1, "f": 1, "p": 10000000000000061, '
+        '"residue_size": 10000000000000061, "sample_defects": {}, '
+        '"sqrt_args": [], "subfields": [], "uniformizer_valuation": '
+        '"1/1"}\n'))
+    assert _main_in_process("field", "-p", str(10 ** 18 + 3))[0] == 0
+    assert _main_in_process("field", "-p", str(semiprime)) == (1, "")
+    assert time.perf_counter() - t0 < 1
+    for args in (("field", "-p", str(semiprime)),
+                 ("count-local", "--group", "q8", "--field",
+                  f"{semiprime}:")):
+        proc = run_cli(*args, check=False, timeout=20)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "NotPrime"
+
+
+def test_primality_past_its_exact_bound_is_a_typed_error():
+    proc = run_cli("field", "-p", str(3317044064679887385961981),
+                   check=False, timeout=20)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "NumberTooLarge"
+
+
 def test_global_resolve_in_cases_a_and_b():
     # only case (c) needs a representation to resolve; in cases (a) and (b)
     # --resolve must answer as --assert-existence does, not fail on N

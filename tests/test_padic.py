@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from bttwist.errors import (InternalInvariant, NotSquareFree, NumberTooLarge,
                             SplitPrime, ZeroInput)
 from bttwist.padic import (INFINITY, SQUAREFREE_TRIAL_LIMIT, FieldElement,
-                           LocalField, _int_sqrt, element_sqrt, make_field,
-                           parity, quad_ext_type, squarefree_part)
+                           LocalField, _PRIME_TEST_LIMIT, _int_sqrt,
+                           _is_prime, element_sqrt, make_field, parity,
+                           quad_ext_type, squarefree_part)
 
 import squarefree_oracle
 
@@ -406,3 +408,26 @@ def test_float_operands_are_rejected():
                lambda: 0.5 - x, lambda: x / 0.5):
         with pytest.raises(TypeError):
             op()
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        def by_trial(n):
+            return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        assert [n for n in range(-3, 20000) if _is_prime(n)] == \
+            [n for n in range(-3, 20000) if by_trial(n)]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the first 4, 7, 8, 9 and 12
+        # prime bases; each falls to a later base
+        for n in (3215031751, 341550071728321, 3825123056546413051,
+                  318665857834031151167461):
+            assert not _is_prime(n)
+        assert _is_prime(2 ** 61 - 1) and _is_prime(10 ** 18 + 3)
+        assert not _is_prime((2 ** 31 - 1) * (10 ** 9 + 7))
+
+    def test_past_the_exact_bound_is_a_typed_error(self):
+        assert not _is_prime(_PRIME_TEST_LIMIT - 2)
+        with pytest.raises(NumberTooLarge):
+            _is_prime(_PRIME_TEST_LIMIT)

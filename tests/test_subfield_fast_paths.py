@@ -24,9 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bttwist import enumerate as counting
-from bttwist.bttree import Vertex, Window
+from bttwist.bttree import MoebiusMap, Vertex, Window
 from bttwist.padic import make_field
-from bttwist.quatalg import Matrix2
 from bttwist.twisted import VertexOrder, sublattice_machinery
 from subfield_test_oracle import decompose
 from test_branch_walk_diff import CASES  # the golden count-local cases
@@ -119,7 +118,7 @@ def test_apply_matches_apply_vertex_on_the_table1_cocycle():
 def lattice_inverse_by_products(triv, v):
     """The old B^-1: column j is M^-1 b_j M, M = [[a, t], [1, 0]]."""
     f = v.field
-    M = Matrix2(v.center, f.scale_of_valuation(v.level), f.one, f.zero)
+    M = MoebiusMap(v.center, f.scale_of_valuation(v.level), f.one, f.zero)
     Minv = M.inv()
     cols = [Minv * b * M for b in triv.basis]
     return [[X.a for X in cols], [X.b for X in cols],

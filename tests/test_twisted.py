@@ -82,7 +82,7 @@ class TestCocycles:
         for s, rows in entries.items():
             maps[s] = MoebiusMap.from_rows(
                 F, [[r if x == "r" else x for x in row] for row in rows])
-        assert twisted._is_scalar(maps[2])
+        assert maps[2].is_scalar()
         with pytest.raises(CocycleLawViolated) as err:
             Cocycle(F, maps)
         assert pair in str(err.value)

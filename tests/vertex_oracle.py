@@ -5,9 +5,20 @@ the same-center shortcut: Fraction inequality on the levels, then the
 valuation of the centers' difference.  `invariant_vertices` is
 `TwistedTree.invariant_vertices` as it was before each twisted action was
 computed once: it applies every group element afresh for every test.
+
+`reduce_center` and `approximates_from` are the two digit loops that
+`bttree.digit_rest` replaced: the first tries every residue representative
+at every digit, zero digits included; the second walks the subfield's
+digits one level at a time.  `residue_generator` is the unit that
+`SubfieldLattice` took for f(L/E) = 2: the first residue representative of
+L that `approximates_from` finds outside E.
 """
 
+from fractions import Fraction
+
 from bttwist.bttree import Vertex
+from bttwist.errors import InternalInvariant
+from bttwist.padic import INFINITY, FieldElement, Subfield
 
 
 def vertex_eq(u, v):
@@ -36,3 +47,85 @@ def invariant_vertices(tree, subgroup, window, include_midpoints=False):
             if swapped and stable:
                 out.append(mid)
     return out
+
+
+def reduce_center(a: FieldElement, n_end: int) -> FieldElement:
+    """Canonical representative of a modulo pi^n_end * O."""
+    f = a.field
+    v = a.valuation()
+    if v is INFINITY:
+        return f.zero
+    j = int((v * f.e) // 1)
+    out = f.zero
+    res = a
+    while j < n_end:
+        rv = res.valuation()
+        if rv is INFINITY or rv >= Fraction(n_end, f.e):
+            break
+        pj = f.pi_pow(j)
+        for c in f.residue_reps:
+            if c.is_zero():
+                continue
+            cand = res - c * pj
+            if cand.valuation() > Fraction(j, f.e):
+                out = out + c * pj
+                res = cand
+                break
+        else:
+            if rv <= Fraction(j, f.e):
+                # rv lies in (1/e)Z, so res is pi^j times a unit, and a
+                # complete set of residue representatives has its digit
+                raise InternalInvariant(
+                    f"no residue digit for {res!r} at level {j}/{f.e} in {f}")
+        j += 1
+    return out
+
+
+def approximates_from(a: FieldElement, sub: Subfield, target) -> bool:
+    """Is there lambda in the subfield with nu(a - lambda) >= target?
+
+    Greedy digit expansion of a over the subfield's uniformizer and residue
+    representatives; exact (the greedy digit is unique when it exists).
+    """
+    if a.valuation() is INFINITY:
+        return True
+    eE = sub.field.e
+    piE = sub.embed(sub.field.uniformizer)
+    reps = [sub.embed(r) for r in sub.field.residue_reps]
+    res = a
+    v = res.valuation()
+    j = int((v * eE) // 1)
+    if v >= Fraction(target):
+        return True
+    stop = Fraction(target) * eE
+    while Fraction(j) < stop:
+        rv = res.valuation()
+        if rv is INFINITY or rv >= Fraction(target):
+            return True
+        if rv >= Fraction(j + 1, eE):
+            j += 1
+            continue
+        pj = piE ** j
+        hit = False
+        for c in reps:
+            if c.is_zero():
+                continue
+            cand = res - c * pj
+            if cand.valuation() > rv:
+                res = cand
+                hit = True
+                break
+        if not hit:
+            return False
+        # valuation strictly increased; re-anchor j
+        j = max(j, int((res.valuation() * eE) // 1)) if res.valuation() is not INFINITY else j + 1
+    rv = res.valuation()
+    return rv is INFINITY or rv >= Fraction(target)
+
+
+def residue_generator(sub):
+    L = sub.parent
+    for r in L.residue_reps[1:]:
+        if not approximates_from(r, sub, Fraction(1, L.e)):
+            return r
+    raise InternalInvariant("no residue generator found")

@@ -21,7 +21,7 @@ def doubling_scan(images, center, initial_radius=Fraction(3, 4)) -> list:
     cap = vertex_cap()
     while True:
         try:
-            win = Window(center, radius, cap)
+            win = Window(center, radius)
         except WindowTooLarge as exc:
             raise WindowInsufficient(str(exc))
         d_max = max(win.distances)
