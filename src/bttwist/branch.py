@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InternalInvariant, NeedsExtension, NotAUnit
+from .errors import (InternalInvariant, NeedsExtension, NotAUnit,
+                     NotSquareFree, SplitPrime)
 from .padic import (INFINITY, FieldElement, LocalField, element_sqrt,
                     make_field, squarefree_part)
 from .bttree import (
@@ -160,7 +161,7 @@ def branch_with_extension(q: MoebiusMap, field: LocalField):
     d, _ = squarefree_part(r.numerator * r.denominator)
     try:
         big = make_field(field.p, field.sqrt_args + (d,))
-    except Exception as exc:
+    except (NotSquareFree, SplitPrime) as exc:
         raise NeedsExtension(f"splitting extension not constructible: {exc}")
     qb = lift_matrix(q, big)
     return branch_closed_form(qb, big), big
@@ -224,7 +225,7 @@ def can_extend(field: LocalField, d: int) -> bool:
     try:
         make_field(field.p, field.sqrt_args + (d,))
         return True
-    except Exception:
+    except (NotSquareFree, SplitPrime):
         return False
 
 

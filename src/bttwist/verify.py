@@ -14,6 +14,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+from .errors import ExistenceFails
 from .padic import INFINITY, make_field, squarefree_part
 from .bttree import (Vertex, Window, distance, e_vertex_test_untwisted,
                      tubular)
@@ -22,7 +23,8 @@ from .branch import (branch_member, branch_with_extension, lift_vertex,
 from . import enumerate as counting
 from . import globalforms
 from .quatalg import maxorder_generators, find_trivialization
-from .twisted import TwistedTree, standard_cocycle, trivial_cocycle
+from .twisted import (TwistedTree, VertexOrder, standard_cocycle,
+                      trivial_cocycle)
 
 
 def check_q8_omega() -> tuple:
@@ -65,7 +67,6 @@ def check_table1(data=None) -> tuple:
 def check_prop_7_2() -> tuple:
     """Criterion 3: over E*F the count is 6, with 2 over E and the other 4
     over F or F'."""
-    from .twisted import VertexOrder
     for x in (-1, 2, 6):
         ctx = counting.make_context("q8", 2, (-3, x))
         rep = counting.count_integral_forms(ctx, (-3, x))
@@ -138,7 +139,6 @@ def check_prop_7_6(data=None) -> tuple:
 
 def check_global() -> tuple:
     """Criterion 8: the five global headline numbers."""
-    from .errors import ExistenceFails
     g3 = globalforms.global_count(3)
     if g3["count"] != 2:
         return False, f"N=3: {g3['count']} != 2"

@@ -8,9 +8,11 @@ from bttwist.errors import InternalInvariant, NeedsExtension, NotAUnit
 from bttwist.padic import make_field
 from bttwist.bttree import (BoundaryPoint, Horoball, MoebiusMap, Tube,
                             Vertex, Window, distance, tubular)
+from bttwist import branch
 from bttwist.branch import (branch_closed_form, branch_member,
-                            branch_with_extension, classify, lift_element,
-                            lift_vertex, sample_integral_matrix, try_sqrt,
+                            branch_with_extension, can_extend, classify,
+                            lift_element, lift_vertex,
+                            sample_integral_matrix, try_sqrt,
                             unit_fixed_points)
 from bttwist.enumerate import branch_vertices
 from convex_oracle import branch_of_family, line
@@ -63,6 +65,26 @@ class TestClassify:
         q = mat(Q2, [[0, 1], [17, 0]])  # x^2 - 17 splits 2-adically
         with pytest.raises(NeedsExtension):
             classify(q, Q2)
+
+
+class TestExtensionErrors:
+    def test_split_extension_needs_extension(self):
+        q = mat(Q2, [[0, 1], [17, 0]])  # Q_2(sqrt 17) splits: SplitPrime
+        with pytest.raises(NeedsExtension):
+            branch_with_extension(q, Q2)
+        assert can_extend(Q2, 17) is False
+        assert can_extend(Q2, -1) is True
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # regression: both caught every Exception from make_field
+        def broken(p, sqrt_args):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(branch, "make_field", broken)
+        with pytest.raises(TypeError):
+            branch_with_extension(mat(Q2, [[0, 20], [1, 0]]), Q2)
+        with pytest.raises(TypeError):
+            can_extend(Q2, 5)
 
 
 class TestClosedForm:

@@ -1,3 +1,7 @@
+import ast
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,27 +9,40 @@ from bttwist import globalforms
 from bttwist.errors import (BadN, DyadicSplit, ExistenceFails,
                             ExistenceUnknown, InvalidRepresentation,
                             NumberTooLarge, WrongResidue)
-from bttwist.globalforms import (QuadForm, case_c_example_rep,
-                                 class_group, compose, discriminant_of,
+from bttwist.globalforms import (ClassGroup, case_c_example_rep,
+                                 class_group, discriminant_of,
                                  dyadic_class_square, genus_number,
-                                 global_count, h2, principal_form,
-                                 resolve_case_c, serre_existence)
+                                 global_count, h2, resolve_case_c,
+                                 serre_existence)
 from bttwist.padic import squarefree_part
-from class_group_oracle import FullTableClassGroup
+from class_group_oracle import (FullTableClassGroup, QuadForm, compose,
+                                principal_form)
 
 
 SQUAREFREE = [n for n in range(1, 140) if squarefree_part(n)[0] == n]
+SQUAREFREE_TO_1000 = [n for n in range(1, 1001)
+                      if squarefree_part(n)[0] == n]
+SRC = Path(globalforms.__file__).resolve().parent
+
+
+def _oracle_forms(N):
+    return [QuadForm(*f) for f in class_group(N).elements]
+
+
+def _dyadic_form(N):
+    """The reduced form of the prime over 2 when 2 | D."""
+    f = QuadForm(2, 0, N // 2) if N % 2 == 0 else QuadForm(2, 2, (N + 1) // 2)
+    return f.reduce()
 
 
 class TestClassGroups:
     def test_small_groups(self):
         C = class_group(5)
         assert C.D == -20 and C.h == 2
-        assert C.elements == [QuadForm(1, 0, 5), QuadForm(2, 2, 3)]
+        assert C.elements == [(1, 0, 5), (2, 2, 3)]
         assert class_group(1).h == 1
         C6 = class_group(6)
-        assert C6.h == 2 and C6.elements == [QuadForm(1, 0, 6),
-                                             QuadForm(2, 0, 3)]
+        assert C6.h == 2 and C6.elements == [(1, 0, 6), (2, 0, 3)]
         assert class_group(23).h == 3
         assert class_group(47).h == 5
 
@@ -35,20 +52,20 @@ class TestClassGroups:
         assert r.is_reduced() and r.D == f.D
 
     def test_identity_and_inverse(self):
-        C = class_group(14)
-        e = C.identity
-        for f in C.elements:
+        full = FullTableClassGroup(14)
+        e = full.identity
+        for f in full.elements:
             assert compose(f, e) == f
             assert compose(f, f.inverse()) == e
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([5, 6, 14, 23, 26, 47, 41]), st.data())
     def test_composition_laws(self, N, data):
-        C = class_group(N)
-        i = data.draw(st.integers(0, C.h - 1))
-        j = data.draw(st.integers(0, C.h - 1))
-        k = data.draw(st.integers(0, C.h - 1))
-        f, g, hq = C.elements[i], C.elements[j], C.elements[k]
+        forms = _oracle_forms(N)
+        i = data.draw(st.integers(0, len(forms) - 1))
+        j = data.draw(st.integers(0, len(forms) - 1))
+        k = data.draw(st.integers(0, len(forms) - 1))
+        f, g, hq = forms[i], forms[j], forms[k]
         assert compose(f, g) == compose(g, f)
         assert compose(compose(f, g), hq) == compose(f, compose(g, hq))
 
@@ -56,30 +73,48 @@ class TestClassGroups:
         for N in SQUAREFREE:
             C = class_group(N)
             assert C.h2() == genus_number(N), N
-            # h2 and squares read the composition table's diagonal;
-            # composing each form with itself is the path they replace
-            doubles = [compose(f, f) for f in C.elements]
-            assert C.h2() == doubles.count(C.identity), N
-            assert C.squares() == set(doubles), N
+            # the ambiguous reduced forms are exactly the classes that
+            # Gauss composition sends to the identity when doubled
+            e = principal_form(C.D).reduce()
+            ambiguous = {(a, b, c) for a, b, c in C.elements
+                         if b == 0 or b == a or a == c}
+            order_two = {(f.a, f.b, f.c) for f in _oracle_forms(N)
+                         if compose(f, f) == e}
+            assert ambiguous == order_two, N
 
-    @pytest.mark.parametrize("N", [n for n in range(1, 61)
-                                   if squarefree_part(n)[0] == n]
-                             + [341, 479, 530])
+    @pytest.mark.parametrize("N", SQUAREFREE_TO_1000)
     def test_h2_and_squares_match_the_full_table(self, N):
-        # 341, 479 and 530 have h = 28, 25 and 28, past the full table
         C, full = class_group(N), FullTableClassGroup(N)
-        assert (C.elements, C.identity) == (full.elements, full.identity)
-        assert C.h2() == full.h2()
-        assert C.squares() == full.squares()
-        assert (C.table is None) == (C.h > 24)
+        assert C.elements == [(f.a, f.b, f.c) for f in full.elements]
+        assert (C.h, C.h2(), h2(C)) == (full.h, full.h2(), full.h2())
+        if C.D % 2 == 0:
+            assert dyadic_class_square(N) == (_dyadic_form(N)
+                                              in full.squares())
 
-    def test_large_group_composes_about_4h_pairs(self, monkeypatch):
-        calls = []
-        real = globalforms.compose
-        monkeypatch.setattr(globalforms, "compose",
-                            lambda f, g: calls.append(1) or real(f, g))
-        C = class_group(479)
-        assert C.h == 25 and len(calls) == 4 * C.h
+    def test_case_c_to_60(self):
+        # ROADMAP item 3 lists these 16 squarefree N <= 60 in case (c)
+        case_c = [N for N in SQUAREFREE if N <= 60 and N % 8 in (1, 2, 5, 6)
+                  and global_count(N, assert_existence=True)["case"] == "c"]
+        assert case_c == [5, 6, 10, 13, 21, 22, 26, 29, 30, 33, 37, 38, 42,
+                          53, 57, 58]
+
+    def test_src_composes_no_forms(self):
+        # genus theory replaced Gauss composition: no module defines or
+        # reads the composition machinery, and a class group holds only
+        # its reduced forms
+        gone = {"QuadForm", "compose", "_coprime_representative", "_xgcd",
+                "principal_form", "FullTableClassGroup"}
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute)}
+            names |= {n.name for n in ast.walk(tree)
+                      if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            assert not names & gone, (path.name, names & gone)
+        assert set(vars(class_group(479))) == {"N", "D", "elements", "h"}
+        assert not {"product", "squares", "table", "identity"} & set(
+            vars(ClassGroup))
 
     def test_h2_examples(self):
         assert h2(class_group(5)) == 2
@@ -95,6 +130,16 @@ class TestClassGroups:
         with pytest.raises(NumberTooLarge):
             global_count(6, assert_existence=True)
 
+    @pytest.mark.parametrize("helper", [serre_existence, genus_number,
+                                        dyadic_class_square])
+    def test_genus_helpers_check_the_limit(self, helper):
+        # regression: each trial-divided up to sqrt(N) with no bound, about
+        # 1.2 s for this prime (3 mod 8, so serre_existence applies)
+        start = time.perf_counter()
+        with pytest.raises(NumberTooLarge):
+            helper(100000000000067)
+        assert time.perf_counter() - start < 0.1
+
     def test_bad_n(self):
         with pytest.raises(BadN):
             discriminant_of(12)
@@ -104,6 +149,9 @@ class TestClassGroups:
             discriminant_of(0)
         with pytest.raises(BadN):
             serre_existence(0)
+        for helper in (serre_existence, genus_number, dyadic_class_square):
+            with pytest.raises(BadN):
+                helper(12)
 
 
 class TestDyadicClass:
@@ -122,6 +170,16 @@ class TestDyadicClass:
             dyadic_class_square(7)   # D = -7: 2 splits
         with pytest.raises(DyadicSplit):
             dyadic_class_square(3)   # D = -3: 2 inert
+
+    def test_error_order(self, monkeypatch):
+        # BadN, then the limit, then the splitting of 2
+        monkeypatch.setattr(globalforms, "CLASS_GROUP_DISC_LIMIT", 6)
+        with pytest.raises(BadN):
+            dyadic_class_square(12)
+        with pytest.raises(NumberTooLarge):
+            dyadic_class_square(7)
+        with pytest.raises(DyadicSplit):
+            dyadic_class_square(3)
 
 
 class TestExistence:
@@ -193,7 +251,6 @@ class TestGlobalCount:
 
     def test_global_run_builds_one_class_group(self, monkeypatch, capsys):
         from bttwist import cli
-        from bttwist.globalforms import ClassGroup
         builds = []
         init = ClassGroup.__init__
 

@@ -2,7 +2,8 @@
 the package does not load `dataclasses`.  Each keeps what the dataclass it
 replaced gave: the constructor and its defaults, equality by fields (and
 only with its own class), a hash by fields for the three immutable ones and
-none for the two mutable ones, and the repr."""
+none for the two mutable ones, and the repr.  `QuadForm` has since moved
+with Gauss composition into the test-only class-group oracle."""
 
 import dataclasses
 from fractions import Fraction
@@ -13,9 +14,9 @@ from bttwist.branch import QuadClass
 from bttwist.bttree import Vertex
 from bttwist.enumerate import IFReport
 from bttwist.errors import InternalInvariant
-from bttwist.globalforms import QuadForm
 from bttwist.padic import make_field
 from bttwist.quatalg import QuaternionAlgebra
+from class_group_oracle import QuadForm
 
 F = make_field(2, (-1, -3))
 
