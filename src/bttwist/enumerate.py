@@ -9,13 +9,15 @@ it is convex and connected: a breadth-first search with `branch_member`
 finds its nearest vertex, and a flood fill through members finds the rest.
 The neighbours of a vertex are the points of P^1 over the residue field (one
 up, one child per residue class), so the fill steps each member's images,
-conjugated into the vertex basis, to its neighbours without rebuilding them.
+conjugated into the vertex basis, to its neighbours without rebuilding them,
+and hands them on to the member's subfield test.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (FieldTooSmall, InternalInvariant,
                      NotAbsolutelyIrreducible, NotSquareFree, SplitPrime,
@@ -26,8 +28,7 @@ from .branch import branch_member, conjugate_by_vertex
 from .linalg import rank
 from .quatalg import (HAMILTON, QuaternionAlgebra, find_trivialization,
                       maxorder_generators, q8_trivialization, standard_groups)
-from .twisted import (TwistedTree, VertexOrder, standard_cocycle,
-                      subfield_vertex_test)
+from .twisted import TwistedTree, VertexOrder, standard_cocycle
 
 
 class IFReport:
@@ -79,7 +80,18 @@ class CountingContext:
         self._check_irreducible()
 
     def _check_irreducible(self):
-        """The generated algebra must be all of the 2x2 matrices."""
+        """The generated algebra must be all of the 2x2 matrices.
+
+        Two images A and B with det(AB - BA) != 0 settle it at once.  Over
+        an algebraic closure, a proper subalgebra of M_2 containing 1 fixes
+        a line (Burnside), so A and B would share an eigenvector w, and
+        AB - BA would kill w.  The span's rank does not change under the
+        extension, so the images generate M_2 over the model.  When every
+        pair commutes up to a singular matrix, products of the images are
+        added until the rank stops growing."""
+        if any(not (x * y + -(y * x)).det().is_zero()
+               for x, y in combinations(self.images, 2)):
+            return
         elems = [MoebiusMap.identity(self.ambient)] + list(self.images)
         r = rank([m.entries for m in elems])
         while r < 4:
@@ -173,17 +185,26 @@ def nearest_member(images, center: Vertex):
 
 def branch_vertices(images, center: Vertex) -> list:
     """The branch of the images in breadth-first order from center: a
-    flood fill through members from the nearest one.  Each vertex tested
-    counts against the vertex cap; passing it raises WindowInsufficient.
+    flood fill through members from the nearest one (`branch_walk`)."""
+    return [v for v, _ in branch_walk(images, center)]
+
+
+def branch_walk(images, center: Vertex) -> list:
+    """The branch of the images in breadth-first order from center, each
+    member v with [conjugate_by_vertex(q, v) for q in images]: a flood fill
+    through members from the nearest one.  Each vertex tested counts
+    against the vertex cap; passing it raises WindowInsufficient.
 
     A member B(a, r) keeps X = M^-1 q M = [[x11, x12], [x21, x22]] for each
     image q, M = [[t, a], [0, 1]], and decides each neighbour from X with
     one valuation per image.  The child B(a + c t, r + 1/e), basis
     M [[pi, c], [0, 1]], has X' = [[x11 - c x21, y / pi], [pi x21, x22 +
     c x21]] with y = x12 + c (x11 - x22 - c x21): a member iff
-    v(y) >= 1/e.  The up-neighbour B(a, r - 1/e), basis M [[1/pi, 0],
-    [0, 1]], has X' = [[x11, pi x12], [x21 / pi, x22]]: a member iff
-    v(x21) >= 1/e.  The vertex a member came from is skipped by position."""
+    v(y) >= 1/e.  At the residue representatives 0 and 1, when they are
+    the first two, no product by c is taken.  The up-neighbour
+    B(a, r - 1/e), basis M [[1/pi, 0], [0, 1]], has X' = [[x11, pi x12],
+    [x21 / pi, x22]]: a member iff v(x21) >= 1/e.  The vertex a member came
+    from is skipped by position."""
     found = _search(images, center)
     if found is None:
         return []
@@ -191,11 +212,13 @@ def branch_vertices(images, center: Vertex) -> list:
     f = v.field
     cap, step = vertex_cap(), Fraction(1, f.e)
     pi, pi_inv, reps = f.pi_pow(1), f.pi_pow(-1), f.residue_reps
+    # how many leading representatives are 0 and 1, stepped without products
+    plain = 2 if reps[0].is_zero() and reps[1] == f.one else 0
     members = []
     queue = deque([(v, skip, [conjugate_by_vertex(m, v) for m in images])])
     while queue:
         v, skip, xs = queue.popleft()
-        members.append(v)
+        members.append((v, xs))
         tested += (f.q + 1) - (skip is not None)
         if tested > cap:
             raise WindowInsufficient(f"branch search exceeds vertex cap {cap}")
@@ -204,35 +227,58 @@ def branch_vertices(images, center: Vertex) -> list:
                           [(x11, x12 * pi, x21 * pi_inv, x22)
                            for x11, x12, x21, x22 in xs]))
         t = f.scale_of_valuation(v.level)
-        for c in reps[skip == 1:]:
-            child = []
+        for i in range(skip == 1, len(reps)):
+            c = reps[i]
+            shifted = []
             for x11, x12, x21, x22 in xs:
-                cx21 = x21 * c
-                y = x12 + (x11 - x22 - cx21) * c
-                if y.valuation() < step:
+                if i >= plain:
+                    cx21 = x21 * c
+                    x11, x12, x22 = (x11 - cx21, x12 + (x11 - x22 - cx21) * c,
+                                     x22 + cx21)
+                elif i:  # c = 1
+                    x11, x12, x22 = (x11 - x21, x12 + (x11 - x22 - x21),
+                                     x22 + x21)
+                if x12.valuation() < step:  # x12 is y now
                     break
-                child.append((x11 - cx21, y * pi_inv, x21 * pi, x22 + cx21))
+                shifted.append((x11, x12, x21, x22))
             else:
                 queue.append((Vertex(v.center + c * t, v.level + step), 0,
-                              child))
+                              [(x11, y * pi_inv, x21 * pi, x22)
+                               for x11, y, x21, x22 in shifted]))
     return members
 
 
-def count_integral_forms(ctx: CountingContext, e_args: tuple) -> IFReport:
+def member_orders(ctx: CountingContext) -> list:
+    """A `VertexOrder` for each member of the branch of the group images,
+    found from the standard center by `branch_walk`.  Each order gets the
+    walk's conjugates of the trivialization's I and J wherever those are
+    group images, as they are for q8."""
+    amb = ctx.ambient
+    center_level = Fraction(-1, 2) if amb.e % 2 == 0 else Fraction(0)
+    slots = [next((k for k, m in enumerate(ctx.images) if m == b), None)
+             for b in ctx.triv.basis[1:3]]
+    return [VertexOrder(ctx.tree, ctx.triv, v,
+                        tuple(None if k is None else xs[k] for k in slots))
+            for v, xs in branch_walk(ctx.images,
+                                     Vertex(amb.zero, center_level))]
+
+
+def count_integral_forms(ctx: CountingContext, e_args: tuple,
+                         orders=None) -> IFReport:
     """Count the group's integral forms over the subfield given by e_args.
 
-    The branch is found from the standard center by `branch_vertices`, and
-    each member is kept if it is a vertex of the subfield's subtree.  When
-    e_args generate the whole ambient field, the test keeps exactly the
-    members on its lattice levels.
+    Each member's `VertexOrder` (from `member_orders`, or the caller's
+    `orders`, which must be that list) is asked whether the member is a
+    vertex of the subfield's subtree.  When e_args generate the whole
+    ambient field, the test keeps exactly the members on its lattice
+    levels.
     """
     amb = ctx.ambient
     e_args = tuple(e_args)
     sub = amb.find_subfield(e_args)
-    center_level = Fraction(-1, 2) if amb.e % 2 == 0 else Fraction(0)
-    members = branch_vertices(ctx.images, Vertex(amb.zero, center_level))
-    vertices = [v for v in members
-                if subfield_vertex_test(ctx.tree, ctx.triv, v, sub)]
+    if orders is None:
+        orders = member_orders(ctx)
+    vertices = [o.v for o in orders if o.in_subtree(sub)]
     return IFReport(ctx.group, e_args, amb.sqrt_args, sub.field.e,
                     sub.field.f, len(vertices), vertices)
 
@@ -261,10 +307,15 @@ def table1() -> dict:
     cross-intersections between ramified-pair classes."""
     ctx = make_context("q8", 2, OMEGA_ARGS)
     amb = ctx.ambient
-    report = count_integral_forms(ctx, OMEGA_ARGS)
+    orders = member_orders(ctx)
+    report = count_integral_forms(ctx, OMEGA_ARGS, orders)
     members = report.vertices
+    # the rows index report.vertices: the count over L keeps every member,
+    # as the walk steps along L's lattice levels
+    if len(members) != len(orders):
+        raise InternalInvariant(
+            f"{len(orders) - len(members)} branch members off L's levels")
     subs = [s for s in amb.subfields() if s.field.degree > 1]
-    orders = [VertexOrder(ctx.tree, ctx.triv, v) for v in members]
     # ask the largest subfields first, so that a vertex found outside one is
     # outside its subfields without a test; report in `subs` order
     inside = {s: [order.in_subtree(s) for order in orders]

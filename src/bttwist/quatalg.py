@@ -11,9 +11,10 @@ from functools import cached_property
 
 from .errors import (DivisionByZero, FieldTooSmall, InternalInvariant,
                      ZeroInput)
-from .padic import FieldElement, LocalField, rational_sqrt, squarefree_part
+from .padic import (FieldElement, LocalField, rational_sqrt,
+                    squarefree_part, vp_frac)
 from .bttree import MoebiusMap
-from .linalg import det, inverse, mat_vec
+from .linalg import inverse, mat_vec
 
 
 class QuaternionAlgebra:
@@ -84,9 +85,6 @@ class Quaternion:
     def conj(self) -> "Quaternion":
         x0, x1, x2, x3 = self.x
         return Quaternion(self.alg, (x0, -x1, -x2, -x3))
-
-    def trd(self) -> Fraction:
-        return 2 * self.x[0]
 
     def nrd(self) -> Fraction:
         a, b = self.alg.a, self.alg.b
@@ -159,9 +157,16 @@ class _BasisCoordinates:
 
     @cached_property
     def basis_valuation(self):
-        """v(det T).  The order of every vertex has volume -v(det T) in
-        quaternion coordinates, because conjugation has determinant 1."""
-        return det([m.entries for m in self.basis]).valuation()
+        """v(det T) = v_p(4ab) for the algebra (a, b) trivialized.  The
+        order of every vertex has volume -v(det T) in quaternion
+        coordinates, because conjugation has determinant 1.
+
+        det T is +-4ab: the trace form tr(XY) has Gram determinant -1 on
+        the matrix units and -16 a^2 b^2 on the basis 1, I, J, IJ, whose
+        traces of products are those of 1, i, j, ij in (a, b) (an
+        isomorphism onto M_2 is conjugation, by Skolem-Noether, and keeps
+        the trace; J. Voight, Quaternion Algebras, GTM 288, ch. 7)."""
+        return vp_frac(4 * self.alg.a * self.alg.b, self.field.p)
 
 
 def _matrix_coords(self, X: MoebiusMap):
@@ -194,9 +199,9 @@ class Trivialization(_BasisCoordinates):
             raise InternalInvariant("i-image relation fails")
         if J * J != ident.scaled(alg.b):
             raise InternalInvariant("j-image relation fails")
-        if I * J != -(J * I):
-            raise InternalInvariant("anticommutation fails")
         self.K = I * J
+        if self.K != -(J * I):
+            raise InternalInvariant("anticommutation fails")
         self.basis = (ident, I, J, self.K)
         self.cocycle_witness = self._find_witness()
 

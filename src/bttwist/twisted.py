@@ -21,12 +21,15 @@ from .linalg import inverse, pivot_valuation_sum
 
 class Cocycle:
     """A map sigma -> a_sigma into Moebius maps satisfying the cocycle law
-    a_{st} = a_s . s(a_t); verified exhaustively at construction.
+    a_{st} = a_s . s(a_t); verified on every pair at construction.
 
     `scalar` holds the sigma whose a_sigma is a nonzero scalar matrix.  Such
     a map is the identity in PGL_2: it fixes every vertex, and as a factor
     of the law's product it drops out.  The law is still checked on every
-    pair, only without the product where a factor is scalar."""
+    pair, only without the product where a factor is scalar, and with no
+    arithmetic where the two sides are provably equal: s(a_t) is a_t itself
+    when a_t has rational entries, and `proj_eq` holds of any map with
+    itself, so a pair whose two sides are one object holds."""
 
     def __init__(self, field: LocalField, maps: dict):
         self.field = field
@@ -37,16 +40,22 @@ class Cocycle:
         self.scalar = frozenset(
             s for s in range(field.degree)
             if self.maps[s].is_scalar() and not self.maps[s].a.is_zero())
+        rational = {s for s, m in self.maps.items()
+                    if all(x.is_rational() for x in m.entries)}
+
+        def conj(t, s):  # s(a_t)
+            return self.maps[t] if t in rational else self.maps[t].galois(s)
+
         for s in range(field.degree):
             for t in range(field.degree):
                 lhs = self.maps[s ^ t]
                 if s in self.scalar:
-                    rhs = self.maps[t].galois(s)
+                    rhs = conj(t, s)
                 elif t in self.scalar:
                     rhs = self.maps[s]
                 else:
-                    rhs = self.maps[s] * self.maps[t].galois(s)
-                if not lhs.proj_eq(rhs):
+                    rhs = self.maps[s] * conj(t, s)
+                if lhs is not rhs and not lhs.proj_eq(rhs):
                     raise CocycleLawViolated(f"law fails at ({s}, {t})")
 
     def __getitem__(self, sigma: int) -> MoebiusMap:
@@ -144,14 +153,17 @@ def order_lattice_of_vertex(triv, v: Vertex):
 
 
 class SubfieldLattice:
-    """Per (L, E) machinery: an O_E-basis mhat of O_L adapted to
-    valuations, and the subfield test's E-functionals over it.
+    """Per (L, E) machinery for an L/E with f(L/E) = 1: the O_E-basis
+    mhat_t = pi_L^t (0 <= t < e(L/E)) of O_L, and the subfield test's
+    E-functionals over it.  `VertexOrder._decide` sends every ramified E
+    with f_E < f_L to relative descent first, so no other pair reaches
+    here; one that does raises InternalInvariant.
 
-    mhat_s = pi_L^t u^s with 0 <= t < e(L/E) and u a unit, so v(mhat_s) lies
-    in [0, 1/e_E).  The subfield test bounds component s of a decomposition
-    by -v(mhat_s), and the least point of E's value group at or above that
-    bound is 0: the components enter the echelon as they are, with no
-    power of pi_E to multiply in.  The construction checks the valuations."""
+    v(mhat_t) = t / e_L lies in [0, 1/e_E).  The subfield test bounds
+    component t of a decomposition by -v(mhat_t), and the least point of
+    E's value group at or above that bound is 0: the components enter the
+    echelon as they are, with no power of pi_E to multiply in.  The
+    construction checks the valuations."""
 
     def __init__(self, sub: Subfield):
         self.sub = sub
@@ -160,16 +172,7 @@ class SubfieldLattice:
         self.L, self.E = L, E
         self.e_rel = L.e // E.e
         self.f_rel = L.f // E.f
-        u = L.one
-        if self.f_rel == 2:
-            # L.f <= 2, so E.f = 1: u is the first residue representative
-            # outside F_p, where r^p = r fails
-            u = next((r for r in L.residue_reps[1:]
-                      if (r ** L.p - r).valuation() == 0), None)
-            if u is None:
-                raise InternalInvariant("no residue generator found")
-        self.mhat = [L.pi_pow(ti) * (u ** s)
-                     for ti in range(self.e_rel) for s in range(self.f_rel)]
+        self.mhat = self._basis()
         if len(self.mhat) != L.degree // E.degree:
             raise InternalInvariant(f"{len(self.mhat)} mhat for {sub}")
         if not all(0 <= mh.valuation() * E.e < 1 for mh in self.mhat):
@@ -186,6 +189,14 @@ class SubfieldLattice:
             tuple([(i, int(row[j] * self._den))
                    for i, row in enumerate(to_mhat) if row[j]])
             for j in range(len(to_mhat)))
+
+    def _basis(self) -> list:
+        """mhat: the powers pi_L^t, 0 <= t < e(L/E)."""
+        if self.f_rel != 1:
+            raise InternalInvariant(
+                f"f(L/E) = {self.f_rel} for {self.sub}: relative descent "
+                "decides every pair with f_E < f_L")
+        return [self.L.pi_pow(t) for t in range(self.e_rel)]
 
     def functionals(self, matrix):
         """The echelon rows for the rows of a matrix over L, as the integer
@@ -239,12 +250,20 @@ class VertexOrder:
     most once however many subfields it is asked about: which Galois
     elements fix the vertex under the twisted action, the inverse of its
     order lattice in quaternion coordinates, and its answer for each
-    subfield it was asked about, keyed by the subfield's span."""
+    subfield it was asked about, keyed by the subfield's span.
 
-    def __init__(self, tree: TwistedTree, triv, v: Vertex):
+    `conjugates` holds M^-1 I M and M^-1 J M, the trivialization's i- and
+    j-images in the vertex basis M as `conjugate_by_vertex` gives them,
+    where the caller already has them (the flood fill
+    `enumerate.branch_walk` steps each group image from member to member);
+    a None is conjugated on first use."""
+
+    def __init__(self, tree: TwistedTree, triv, v: Vertex,
+                 conjugates=(None, None)):
         self.tree = tree
         self.triv = triv
         self.v = v
+        self._conjugates = conjugates
         self._fixed = {0: True}
         self._stabilizer = [0]  # the masks known to fix v: a subgroup
         self._answers = {}  # span -> whether v is in that subfield's tree
@@ -274,11 +293,22 @@ class VertexOrder:
     def lattice_inverse(self) -> list:
         """Rows of B^-1, where the columns of B are the quaternion
         coordinates of End(Lambda_v).  B = T^-1 Ad(M) with T's columns the
-        trivialization basis and M = [[a, t], [1, 0]], so column j of
-        B^-1 = Ad(M^-1) T is M^-1 b_j M: the closed form of
+        trivialization basis (1, I, J, IJ) and M = [[a, t], [1, 0]], so
+        column j of B^-1 = Ad(M^-1) T is M^-1 b_j M: the closed form of
         `conjugate_by_vertex`, whose basis [[t, a], [0, 1]] is M with its
-        columns swapped, read in reverse.  Five products and no inverse."""
-        xs = [conjugate_by_vertex(b, self.v) for b in self.triv.basis]
+        columns swapped, read in reverse.  The columns are 1, X_I, X_J and
+        X_I X_J, as M^-1 I J M = (M^-1 I M)(M^-1 J M): one 2x2 product
+        beside the conjugates not already held.  I, J and IJ anticommute
+        in pairs, so each has trace 0, and so has its conjugate: the
+        product takes six field products."""
+        f, v = self.v.field, self.v
+        xi, xj = (conjugate_by_vertex(b, v) if x is None else x
+                  for x, b in zip(self._conjugates, self.triv.basis[1:3]))
+        a1, b1, c1, _ = xi
+        a2, b2, c2, _ = xj
+        k11 = a1 * a2 + b1 * c2
+        xk = (k11, a1 * b2 - b1 * a2, c1 * a2 - a1 * c2, -k11)
+        xs = ((f.one, f.zero, f.zero, f.one), xi, xj, xk)
         return [[x[k] for x in xs] for k in (3, 2, 1, 0)]
 
     def in_subtree(self, sub: Subfield) -> bool:

@@ -4,6 +4,8 @@ Moved from `bttwist.quatalg`, where nothing called them: `order_closure`
 finds the Z_(p)-order a set of quaternions generates, by the valuation
 echelon of `linalg_oracle`, and decides its maximality from the reduced
 discriminant against the Hilbert symbol of the algebra, `hilbert_symbol`.
+`trd` is the reduced trace, which `Quaternion` carried as a method that
+nothing in the program called.
 """
 
 from fractions import Fraction
@@ -17,6 +19,11 @@ from linalg_oracle import echelon
 
 class NotIntegral(BttwistError):
     pass
+
+
+def trd(q: Quaternion) -> Fraction:
+    """The reduced trace q + conj(q) = 2 x0."""
+    return 2 * q.x[0]
 
 
 def mulclose(gens, cap=2000):
@@ -87,7 +94,7 @@ def order_closure(alg: QuaternionAlgebra, gens, p: int):
     Gram determinant for division)."""
     one = quat(alg, 1)
     for g in gens:
-        if vp_frac(g.trd(), p) < 0 or vp_frac(g.nrd(), p) < 0:
+        if vp_frac(trd(g), p) < 0 or vp_frac(g.nrd(), p) < 0:
             raise NotIntegral(f"generator {g} is not integral at {p}")
 
     def val(x):
@@ -104,7 +111,7 @@ def order_closure(alg: QuaternionAlgebra, gens, p: int):
     if len(basis) < 4:
         raise NotIntegral("generators do not span the algebra")
     qb = [Quaternion(alg, b) for b in basis]
-    gram = [[(qb[i] * qb[j]).trd() for j in range(4)] for i in range(4)]
+    gram = [[trd(qb[i] * qb[j]) for j in range(4)] for i in range(4)]
     v = vp_frac(det(gram), p)
     target = 2 if is_division_at(alg, p) else 0
     return basis, v == target, v

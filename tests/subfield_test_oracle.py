@@ -17,15 +17,52 @@ change of basis as sparse columns to the nonzero numerators only.
 `tree_invariant` and `order_invariant` are the two invariance checks that
 `TwistedTree` and `VertexOrder` carried as `invariant` methods before the
 subfield test asked `VertexOrder.fixed_by` of cached fixing generators
-directly."""
+directly.
+
+`GeneralSubfieldLattice` is `SubfieldLattice` for every pair L/E, with the
+f(L/E) = 2 basis (the residue generator u and the columns pi_L^t u^s) that
+the program dropped once relative descent left it only f(L/E) = 1 pairs;
+`machinery` hands out whichever of the two a pair has."""
 
 import math
 from operator import mul
 
+from bttwist.errors import InternalInvariant
 from bttwist.linalg import det, inverse
 from bttwist.padic import FieldElement, _reduced, xor_basis
-from bttwist.twisted import order_lattice_of_vertex, sublattice_machinery
+from bttwist.twisted import (SubfieldLattice, order_lattice_of_vertex,
+                             sublattice_machinery)
 from linalg_oracle import echelon
+
+
+class GeneralSubfieldLattice(SubfieldLattice):
+    """mhat_s = pi_L^t u^s with 0 <= t < e(L/E), 0 <= s < f(L/E) and u a
+    unit whose residue generates that of L over E's."""
+
+    def _basis(self) -> list:
+        L = self.L
+        u = L.one
+        if self.f_rel == 2:
+            # L.f <= 2, so E.f = 1: u is the first residue representative
+            # outside F_p, where r^p = r fails
+            u = next((r for r in L.residue_reps[1:]
+                      if (r ** L.p - r).valuation() == 0), None)
+            if u is None:
+                raise InternalInvariant("no residue generator found")
+        return [L.pi_pow(ti) * (u ** s)
+                for ti in range(self.e_rel) for s in range(self.f_rel)]
+
+
+_GENERAL: dict = {}
+
+
+def machinery(sub) -> SubfieldLattice:
+    """The program's lattice for f(L/E) = 1, else the general one."""
+    if sub not in _GENERAL:
+        _GENERAL[sub] = (sublattice_machinery(sub)
+                         if sub.parent.f == sub.field.f
+                         else GeneralSubfieldLattice(sub))
+    return _GENERAL[sub]
 
 
 def tree_invariant(tree, subgroup, v) -> bool:
@@ -106,7 +143,7 @@ def subfield_vertex_test(tree, triv, v, sub) -> bool:
         return True  # E = L
     if (v.level * sub.field.e).denominator != 1:
         return False  # level not in the subfield's value group
-    mach = sublattice_machinery(sub)
+    mach = machinery(sub)
     E = sub.field
     B = order_lattice_of_vertex(triv, v)
     # invert the matrix whose columns are the basis vectors

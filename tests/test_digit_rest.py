@@ -1,7 +1,8 @@
 """`bttree.digit_rest` against the two digit loops it replaced.
 
-`Vertex.key`, `approximates_from` and `SubfieldLattice`'s residue generator
-are compared with the loops kept in `vertex_oracle` on seeded elements of
+`Vertex.key`, `approximates_from` and the residue generator of the general
+subfield lattice (`subfield_test_oracle.GeneralSubfieldLattice`, the
+f(L/E) = 2 basis that `SubfieldLattice` no longer builds) are compared with the loops kept in `vertex_oracle` on seeded elements of
 fields of degree 1, 2, 4 and 8 at p = 2 and of degree 1, 2 and 4 at p = 3
 and 5 (a multiquadratic field with one prime above an odd p has degree at
 most 4).  The centers include zero, centers already reduced, midpoints,
@@ -14,8 +15,10 @@ from fractions import Fraction
 import pytest
 
 from bttwist.bttree import Vertex, approximates_from, digit_rest
+from bttwist.errors import InternalInvariant
 from bttwist.padic import INFINITY, make_field
 from bttwist.twisted import SubfieldLattice
+from subfield_test_oracle import GeneralSubfieldLattice
 
 import vertex_oracle as old
 
@@ -134,8 +137,12 @@ def test_residue_generator_matches_the_old_search():
     checked = set()
     for p, args in FIELDS:
         for sub in make_field(p, args).subfields():
-            lat = SubfieldLattice(sub)
+            lat = GeneralSubfieldLattice(sub)
             if lat.f_rel == 2:
                 assert lat.mhat[1] == old.residue_generator(sub)
+                with pytest.raises(InternalInvariant):
+                    SubfieldLattice(sub)  # relative descent's pairs
                 checked.add(p)
+            else:
+                assert SubfieldLattice(sub).mhat == lat.mhat
     assert checked == {2, 3, 5}

@@ -20,8 +20,7 @@ from linalg_oracle import echelon
 from bttwist.errors import InternalInvariant
 from bttwist.linalg import det, inverse, mat_vec, rank
 from bttwist.padic import FieldElement, LocalField, make_field, vp_frac
-from bttwist.twisted import sublattice_machinery
-from subfield_test_oracle import decompose
+from subfield_test_oracle import decompose, machinery
 
 FIELDS = [(), (-3,), (-3, 2), (-1, -3, 2)]
 
@@ -139,7 +138,7 @@ def test_decompose_matches_fraction_change_of_basis(args, data):
     sub = data.draw(st.sampled_from(L.subfields()))
     x = L.el(data.draw(st.lists(entries, min_size=L.degree,
                                 max_size=L.degree)))
-    mach = sublattice_machinery(sub)
+    mach = machinery(sub)
     E = sub.field
     cols = [(sub.embed(E.monomial(em)) * mh).coords
             for mh in mach.mhat for em in range(E.degree)]

@@ -25,9 +25,9 @@ from hypothesis import given, settings, strategies as st
 
 from bttwist.linalg import pivot_valuation_sum
 from bttwist.padic import FieldElement, make_field
-from bttwist.twisted import VertexOrder, sublattice_machinery
+from bttwist.twisted import VertexOrder
 from linalg_oracle import echelon
-from subfield_test_oracle import decompose, dense_functionals
+from subfield_test_oracle import decompose, dense_functionals, machinery
 
 FIELDS = [(2, ()), (2, (-1,)), (2, (-3,)), (2, (-3, 2)), (3, (3, -1))]
 
@@ -168,7 +168,7 @@ def test_functionals_are_the_decomposition_components(field, data):
     L = make_field(p, args)
     matrix = data.draw(matrix_over(L, 2))
     for sub in L.subfields():
-        mach = sublattice_machinery(sub)
+        mach = machinery(sub)
         rows, scales = mach.functionals(matrix)
         m = len(mach.mhat)
         assert len(rows) == len(scales) == 2 * m
@@ -190,7 +190,7 @@ def test_sparse_functionals_equal_the_dense_rows(field, data):
     L = make_field(p, args)
     matrix = data.draw(matrix_over(L, data.draw(st.integers(1, 4))))
     for sub in L.subfields():
-        mach = sublattice_machinery(sub)
+        mach = machinery(sub)
         assert mach.functionals(matrix) == dense_functionals(mach, matrix), sub
 
 
@@ -203,6 +203,6 @@ def test_sparse_functionals_on_the_table1_branch():
     for v in members:
         inverse = VertexOrder(ctx.tree, ctx.triv, v).lattice_inverse
         for sub in subs:
-            mach = sublattice_machinery(sub)
+            mach = machinery(sub)
             assert mach.functionals(inverse) == \
                 dense_functionals(mach, inverse), (v, sub)

@@ -1,8 +1,11 @@
 """The scripts under scripts/, run in-process through their `main`."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+from bttwist.twisted import VertexOrder
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -40,3 +43,24 @@ def test_branch_gallery(monkeypatch, capsys, tmp_path):
     for name in ("nilpotent", "width_two_ball", "q8_ball"):
         assert f"{name}: " in out
         assert (tmp_path / f"{name}.dot").read_text().startswith("graph")
+
+
+def test_ambient_sweep(monkeypatch, capsys):
+    assert _run(monkeypatch, "ambient_sweep", "--groups", "maxorder",
+                "--primes", "3") == 0
+    out = capsys.readouterr().out
+    assert "DISAGREE" not in out
+    assert out.splitlines()[-1] == "14 contexts, 0 disagreeing fields"
+
+
+def test_table1_layers(monkeypatch, capsys):
+    before = VertexOrder.__dict__["lattice_inverse"]
+    assert _run(monkeypatch, "table1_layers", "--runs", "1") == 0
+    layers = json.loads(capsys.readouterr().out)["layers"]
+    assert set(layers) == {"basis_valuation", "flood_fill", "lattice_inverse",
+                           "make_context", "table1"}
+    # six field products (one traceless 2x2 product) for each of the 21
+    # members the kernel asks about
+    assert layers["lattice_inverse"]["products_per_table1"] == 6 * 21
+    assert layers["basis_valuation"]["products_per_table1"] == 0
+    assert VertexOrder.__dict__["lattice_inverse"] is before  # restored

@@ -72,6 +72,41 @@ def test_fixed_by_on_the_table1_cocycle():
     assert partial  # stabilizers strictly between trivial and everything
 
 
+def test_one_table1_asks_each_member_order_once(monkeypatch):
+    # table1 asks the 26 orders that counted the branch: of 414 in_subtree
+    # calls, 179 come from the memo, 24 are relative descents (asked from
+    # within `_decide`) and 65 reach the kernel
+    calls, nested, decided, built = [], [], [], []
+    depth = [0]
+    ask, decide, init = (VertexOrder.in_subtree, VertexOrder._decide,
+                         VertexOrder.__init__)
+
+    def in_subtree(self, sub):
+        calls.append(sub)
+        if depth[0]:
+            nested.append(sub)
+        return ask(self, sub)
+
+    def _decide(self, sub):
+        decided.append(sub)
+        depth[0] += 1
+        try:
+            return decide(self, sub)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(VertexOrder, "in_subtree", in_subtree)
+    monkeypatch.setattr(VertexOrder, "_decide", _decide)
+    monkeypatch.setattr(
+        VertexOrder, "__init__",
+        lambda self, *args: built.append(1) or init(self, *args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        counting.table1()
+    assert (len(calls), len(calls) - len(decided), len(nested)) == \
+        (414, 179, 24)
+    assert len(built) == 26
+
+
 def test_one_table1_within_its_action_and_kernel_counts(monkeypatch):
     fixes, kernels = [], []
     fix, kernel = TwistedTree.fixes, twisted.pivot_valuation_sum

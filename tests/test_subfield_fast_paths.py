@@ -26,8 +26,8 @@ from hypothesis import given, settings, strategies as st
 from bttwist import enumerate as counting
 from bttwist.bttree import MoebiusMap, Vertex, Window
 from bttwist.padic import make_field
-from bttwist.twisted import VertexOrder, sublattice_machinery
-from subfield_test_oracle import decompose
+from bttwist.twisted import VertexOrder
+from subfield_test_oracle import decompose, machinery
 from test_branch_walk_diff import CASES  # the golden count-local cases
 
 # degree 2, 4 and 8 at p = 2, and a degree-4 field at p = 3 with e = f = 2
@@ -60,7 +60,7 @@ def test_unscaled_components_match_the_scaled_rows(field, data):
     x = L.el(data.draw(st.lists(coords, min_size=L.degree,
                                 max_size=L.degree)))
     for sub in L.subfields():
-        mach = sublattice_machinery(sub)
+        mach = machinery(sub)
         got = decompose(mach, x)
         want = scaled_by_products(mach, x)
         assert [(y.num, y.den) for y in got] == \

@@ -1,0 +1,255 @@
+"""The subfield test fed from the walk, and the context's invariants in
+closed form, against the slow paths they replace.
+
+- `member_orders` hands each `VertexOrder` the flood fill's conjugates of
+  the trivialization's I and J; its `lattice_inverse` (1, X_I, X_J,
+  X_I X_J) must equal `conjugate_by_vertex` of all four basis matrices, on
+  every member of `table1` and of every golden `count-local` branch.
+- `basis_valuation` is v_p(4ab); the oracle is v(det T) for the four
+  groups' algebras over the fields of `test_trivialization_diff`, and for
+  its seeded sample of algebras.
+- `_check_irreducible` accepts a pair of images with det(AB - BA) != 0 at
+  once; the oracle is the rank loop, on every golden context, a triple
+  whose pairs each share an eigenvector (so the rank loop runs) and a
+  reducible pair.
+- The cocycle law skips the arithmetic where both sides are one object or
+  a_t is rational; a corrupted cocycle must fail at the pair the full
+  check fails at.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import test_trivialization_diff as triv_diff
+from bttwist import enumerate as counting
+from bttwist.branch import conjugate_by_vertex
+from bttwist.bttree import MoebiusMap, Vertex
+from bttwist.errors import (CocycleLawViolated, FieldTooSmall,
+                            NotAbsolutelyIrreducible)
+from bttwist.linalg import det, rank
+from bttwist.padic import make_field
+from bttwist.quatalg import (HAMILTON, QuaternionAlgebra, find_trivialization,
+                             maxorder_generators, q8_trivialization,
+                             standard_groups)
+from bttwist.twisted import Cocycle, VertexOrder
+from test_branch_walk_diff import CASES  # the golden count-local cases
+
+
+def lattice_inverse_by_conjugation(triv, v):
+    """B^-1 with every basis matrix conjugated into the vertex basis."""
+    xs = [conjugate_by_vertex(b, v) for b in triv.basis]
+    return [[x[k] for x in xs] for k in (3, 2, 1, 0)]
+
+
+def _walk_mismatches(ctx):
+    """Members whose walk-fed inverse or walk conjugates differ from the
+    conjugations, and how many conjugates the walk supplied per order."""
+    center = Vertex(ctx.ambient.zero,
+                    Fraction(-1, 2) if ctx.ambient.e % 2 == 0 else Fraction(0))
+    walk = counting.branch_walk(ctx.images, center)
+    orders = counting.member_orders(ctx)
+    assert [o.v for o in orders] == [v for v, _ in walk]
+    assert [v for v, _ in walk] == counting.branch_vertices(ctx.images, center)
+    wrong = [v.key() for v, xs in walk
+             if xs != [conjugate_by_vertex(q, v) for q in ctx.images]]
+    wrong += [o.v.key() for o in orders if o.lattice_inverse
+              != lattice_inverse_by_conjugation(ctx.triv, o.v)]
+    fed = {sum(x is not None for x in o._conjugates) for o in orders}
+    return wrong, fed, len(orders)
+
+
+def test_walk_fed_lattice_inverse_on_the_table1_branch():
+    ctx = counting.make_context("q8", 2, counting.OMEGA_ARGS)
+    wrong, fed, n = _walk_mismatches(ctx)
+    assert wrong == [] and n == 26
+    assert fed == {2}  # q8's images are I and J themselves
+
+
+@pytest.mark.parametrize("group,field", CASES,
+                         ids=[f"{g}-{p}:{','.join(map(str, a))}"
+                              for g, (p, a) in CASES])
+def test_walk_fed_lattice_inverse_on_count_local_branches(group, field):
+    p, args = field
+    ctx = counting.make_context(group, p, args)
+    wrong, fed, _ = _walk_mismatches(ctx)
+    assert wrong == []
+    # q8 and hurwitz have both of I and J among their images, dicyclic J
+    # and maxorder I
+    want = {"q8": 2, "hurwitz": 2, "dicyclic": 1, "maxorder": 1}[group]
+    assert fed <= {want}
+
+
+def test_a_fresh_vertex_order_conjugates_both():
+    ctx = counting.make_context("dicyclic", 3, (3,))
+    for order in counting.member_orders(ctx):
+        fresh = VertexOrder(ctx.tree, ctx.triv, order.v)
+        assert fresh.lattice_inverse == order.lattice_inverse
+
+
+# -- basis_valuation -------------------------------------------------------
+
+
+def _group_trivializations(p, args):
+    """Each group's trivialization over the model that has one; q8 also by
+    the composed trivialization where sqrt -3 is in the model."""
+    F = make_field(p, args)
+    algs = {name: alg for name, (alg, _) in standard_groups().items()}
+    for delta in (-3, -1):
+        algs[f"maxorder({p},{delta})"] = maxorder_generators(p, delta)[0]
+    out = []
+    for name, alg in algs.items():
+        try:
+            out.append((name, find_trivialization(alg, F)))
+        except FieldTooSmall:
+            pass
+    if p == 2 and F.mask_of(-3) is not None:
+        out.append(("q8 composed", q8_trivialization(F)))
+    return out
+
+
+def _det_valuation(triv):
+    return det([list(m.entries) for m in triv.basis]).valuation()
+
+
+@pytest.mark.parametrize("p,args", triv_diff.FIELDS,
+                         ids=[f"{p}:{','.join(map(str, a))}"
+                              for p, a in triv_diff.FIELDS])
+def test_basis_valuation_is_the_determinants(p, args):
+    found = _group_trivializations(p, args)
+    for name, triv in found:
+        assert triv.basis_valuation == _det_valuation(triv), name
+
+
+def test_basis_valuation_on_the_seeded_algebras():
+    checked = 0
+    for a, b, p, args in triv_diff.SAMPLE:
+        try:
+            triv = find_trivialization(
+                QuaternionAlgebra(Fraction(a), Fraction(b)),
+                make_field(p, args))
+        except FieldTooSmall:
+            continue
+        checked += 1
+        assert triv.basis_valuation == _det_valuation(triv), (a, b, p, args)
+    assert checked >= 20
+    # and the composed trivialization over the full dyadic tower
+    triv = q8_trivialization(make_field(2, counting.OMEGA_ARGS))
+    assert triv.alg == HAMILTON
+    assert triv.basis_valuation == _det_valuation(triv) == 2
+
+
+# -- the irreducibility check ---------------------------------------------
+
+
+def rank_loop(field, images) -> int:
+    """The rank of the algebra the images generate, by adding products."""
+    elems = [MoebiusMap.identity(field)] + list(images)
+    r = rank([m.entries for m in elems])
+    while r < 4:
+        cand = elems + [x * y for x in elems for y in images]
+        new_r = rank([m.entries for m in cand])
+        if new_r == r:
+            break
+        elems, r = cand, new_r
+    return r
+
+
+def _check(field, images):
+    """`CountingContext._check_irreducible` on the given images."""
+    ctx = counting.CountingContext.__new__(counting.CountingContext)
+    ctx.ambient, ctx.images = field, images
+    return ctx._check_irreducible()
+
+
+def _maps(field, *rows):
+    return [MoebiusMap.from_rows(field, r) for r in rows]
+
+
+@pytest.mark.parametrize("group,field", CASES,
+                         ids=[f"{g}-{p}:{','.join(map(str, a))}"
+                              for g, (p, a) in CASES])
+def test_commutator_shortcut_on_count_local_contexts(group, field,
+                                                     monkeypatch):
+    p, args = field
+    ctx = counting.make_context(group, p, args)
+    assert rank_loop(ctx.ambient, ctx.images) == 4
+    ranks = []
+    monkeypatch.setattr(counting, "rank", lambda m: ranks.append(1) or rank(m))
+    _check(ctx.ambient, ctx.images)
+    assert ranks == []  # some pair of group images never shares a line
+
+
+def test_pairwise_reducible_triple_runs_the_rank_loop(monkeypatch):
+    # A fixes the lines of e1 and e2, B those of e2 and e1 + e2, C those of
+    # e1 + e2 and e1: each pair shares an eigenvector, the three none
+    F = make_field(2, (-1,))
+    images = _maps(F, [[1, 0], [0, 2]], [[3, 0], [1, 2]], [[2, 1], [0, 3]])
+    for i in range(3):
+        for j in range(i + 1, 3):
+            x, y = images[i], images[j]
+            assert (x * y + -(y * x)).det().is_zero()
+    assert rank_loop(F, images) == 4
+    ranks = []
+    monkeypatch.setattr(counting, "rank", lambda m: ranks.append(1) or rank(m))
+    _check(F, images)
+    assert ranks  # the shortcut could not decide
+
+
+def test_reducible_pair_raises():
+    F = make_field(2, (-3, 2))
+    images = _maps(F, [[1, 1], [0, 2]], [[3, 5], [0, 1]])
+    assert rank_loop(F, images) < 4
+    with pytest.raises(NotAbsolutelyIrreducible):
+        _check(F, images)
+
+
+# -- the cocycle law -------------------------------------------------------
+
+
+def first_violation(field, maps):
+    """The first pair (s, t) where a_{st} and a_s s(a_t) differ in PGL_2,
+    every pair computed in full."""
+    for s in range(field.degree):
+        for t in range(field.degree):
+            if not maps[s ^ t].proj_eq(maps[s] * maps[t].galois(s)):
+                return f"({s}, {t})"
+    return None
+
+
+def test_corrupted_cocycle_fails_where_the_shortcut_applies():
+    # a_1 is scalar, a_2 = W rational, a_3 = W' not W in PGL_2: at (1, 2)
+    # s(a_2) is a_2 itself, with no conjugation, and the law fails there
+    F = make_field(2, (-3, 2))
+    ident, three, W, W2 = _maps(F, [[1, 0], [0, 1]], [[3, 0], [0, 3]],
+                                [[0, 1], [-2, 0]], [[0, 1], [2, 0]])
+    maps = {0: ident, 1: three, 2: W, 3: W2}
+    assert first_violation(F, maps) == "(1, 2)"
+    with pytest.raises(CocycleLawViolated) as err:
+        Cocycle(F, maps)
+    assert "(1, 2)" in str(err.value)
+
+
+def test_shared_objects_and_rational_maps_still_fail_at_the_same_pair():
+    # corrupt the table1 cocycle one map at a time, by a map shared with
+    # another sigma (so both sides of some pair are one object) or by a
+    # rational or irrational non-scalar map
+    ctx = counting.make_context("q8", 2, counting.OMEGA_ARGS)
+    F, good = ctx.ambient, ctx.tree.cocycle.maps
+    r = F.sqrt_of(2)
+    odd = _maps(F, [[1, 1], [0, 1]], [[0, 1], [2, 0]])
+    odd.append(MoebiusMap(F.one, r, F.zero, F.one))
+    failures = 0
+    for s in range(1, F.degree):
+        for bad in odd + [good[s ^ 1]]:
+            maps = dict(good)
+            maps[s] = bad
+            want = first_violation(F, maps)
+            if want is None:
+                Cocycle(F, maps)
+                continue
+            failures += 1
+            with pytest.raises(CocycleLawViolated) as err:
+                Cocycle(F, maps)
+            assert want in str(err.value)
+    assert failures >= 3 * (F.degree - 1)
