@@ -173,7 +173,10 @@ def neighbors(v: Vertex) -> list:
 
 
 class Window:
-    """All vertices within distance R of a center, via neighbor expansion."""
+    """All vertices within distance R of a center, via neighbor expansion.
+    The vertex each one was reached from is skipped by position: a child's
+    up-neighbour is index 0 of its `neighbors`, and a vertex is the c = 0
+    child (index 1) of its up-neighbour."""
 
     def __init__(self, center: Vertex, radius):
         cap = vertex_cap()
@@ -185,19 +188,19 @@ class Window:
         self.vertices = [center]
         self.distances = [Fraction(0)]
         self.edges = []  # (parent index, child index)
-        frontier = [(center, None, 0)]  # vertex, parent vertex, index
+        frontier = [(center, None, 0)]  # vertex, skipped position, index
         d = Fraction(0)
         while d + step <= radius:
             d += step
             nxt = []
-            for v, parent, vi in frontier:
-                for n in neighbors(v):
-                    if parent is not None and n == parent:
+            for v, skip, vi in frontier:
+                for i, n in enumerate(neighbors(v)):
+                    if i == skip:
                         continue
                     self.vertices.append(n)
                     self.distances.append(d)
                     self.edges.append((vi, len(self.vertices) - 1))
-                    nxt.append((n, v, len(self.vertices) - 1))
+                    nxt.append((n, 0 if i else 1, len(self.vertices) - 1))
                     if len(self.vertices) > cap:
                         raise WindowTooLarge(
                             f"window exceeds vertex cap {cap}"

@@ -31,7 +31,7 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
 
 
 def parse_field(text: str):

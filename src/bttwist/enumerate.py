@@ -28,7 +28,7 @@ from .branch import branch_member, conjugate_by_vertex
 from .linalg import rank
 from .quatalg import (HAMILTON, QuaternionAlgebra, find_trivialization,
                       maxorder_generators, q8_trivialization, standard_groups)
-from .twisted import TwistedTree, VertexOrder, standard_cocycle
+from .twisted import Cocycle, TwistedTree, VertexOrder
 
 
 class IFReport:
@@ -75,8 +75,7 @@ class CountingContext:
         self.triv = triv
         self.images = [triv.image(g) for g in gens]
         self.tree = TwistedTree(
-            ambient, standard_cocycle(ambient, triv.flip_d,
-                                      triv.cocycle_witness))
+            ambient, Cocycle(ambient, triv.flip_d, triv.cocycle_witness))
         self._check_irreducible()
 
     def _check_irreducible(self):
@@ -303,8 +302,8 @@ SYMBOL_B = (3, -1)
 
 def table1() -> dict:
     """Counts of dyadic integral forms of Q8 over every proper subfield of
-    the full tower, with per-vertex fields of definition and the singleton
-    cross-intersections between ramified-pair classes."""
+    the full tower, with the singleton cross-intersections between
+    ramified-pair classes."""
     ctx = make_context("q8", 2, OMEGA_ARGS)
     amb = ctx.ambient
     orders = member_orders(ctx)
@@ -321,12 +320,9 @@ def table1() -> dict:
     inside = {s: [order.in_subtree(s) for order in orders]
               for s in reversed(subs)}
     ids = [str(k) for k in report.vertex_ids]
-    defined_over = {i: [] for i in range(len(members))}
     rows = []
     for s in subs:
         hit = [i for i, ok in enumerate(inside[s]) if ok]
-        for i in hit:
-            defined_over[i].append(s.field.sqrt_args)
         rows.append({
             "field": s.field.sqrt_args,
             "e": s.field.e,
@@ -346,11 +342,9 @@ def table1() -> dict:
     return {
         "group": "q8",
         "base_field": f"Q_2",
-        "ambient": amb.sqrt_args,
         "total": len(members),
         "rows": rows,
         "cross_table": cross,
-        "defined_over": defined_over,
         "summary": {
             "quadratic_counts": quad_counts,
             "quartic_counts": quart_counts,

@@ -949,9 +949,6 @@ class Subfield:
                      for pm, coef in self.monomial_images])
         return _reduced(self.field, num, y.den * scale)
 
-    def contains(self, y: FieldElement) -> bool:
-        return self.project(y) is not None
-
     def fixing_masks(self) -> tuple:
         """Galois masks of the parent acting trivially on this subfield."""
         parent_masks = [self.monomial_images[m][0] for m in range(self.field.degree)]

@@ -20,68 +20,51 @@ from .linalg import inverse, pivot_valuation_sum
 
 
 class Cocycle:
-    """A map sigma -> a_sigma into Moebius maps satisfying the cocycle law
-    a_{st} = a_s . s(a_t); verified on every pair at construction.
+    """The cocycle of a quaternion algebra (d, b) over a model field that
+    splits it: a_sigma = W when sigma flips sqrt(d) and the identity
+    otherwise, for the witness W of a trivialization.  The algebra is the
+    cyclic algebra of K(sqrt d)/K, so its cocycle has this one shape
+    (J.-P. Serre, Local Fields, GTM 67, ch. X); for d = 1 it is the
+    identity throughout.
 
-    `scalar` holds the sigma whose a_sigma is a nonzero scalar matrix.  Such
-    a map is the identity in PGL_2: it fixes every vertex, and as a factor
-    of the law's product it drops out.  The law is still checked on every
-    pair, only without the product where a factor is scalar, and with no
-    arithmetic where the two sides are provably equal: s(a_t) is a_t itself
-    when a_t has rational entries, and `proj_eq` holds of any map with
-    itself, so a pair whose two sides are one object holds."""
+    The law a_{st} = a_s . s(a_t) in PGL_2 is checked once per sigma.  With
+    eps the parity character of the flip mask, a_sigma = W^eps(sigma).  If t
+    fixes sqrt(d), then a_t = 1 and eps(st) = eps(s), so both sides are
+    a_s.  If t flips it, a_t = W and the law reads W . s(W) = 1 when s
+    flips sqrt(d) (st then fixes it), and s(W) = W when s fixes it.  When
+    d = 1 no t flips and nothing is left to check.  A violation raises
+    CocycleLawViolated naming the sigma.
 
-    def __init__(self, field: LocalField, maps: dict):
+    `moving` holds the sigma whose a_sigma acts on the tree: those that
+    flip sqrt(d), or none when W is scalar, the identity in PGL_2."""
+
+    def __init__(self, field: LocalField, flip_d: int, witness: MoebiusMap):
+        mask = field.mask_of(flip_d)
+        if mask is None:
+            raise ValueError(f"sqrt({flip_d}) not in {field}")
         self.field = field
-        self.maps = dict(maps)
-        for s in range(field.degree):
-            if s not in self.maps:
-                raise ValueError("cocycle must be defined on every element")
-        self.scalar = frozenset(
+        self.flip_mask = mask
+        self.witness = witness
+        self.identity = MoebiusMap.identity(field)
+        for s in range(field.degree) if mask else ():
+            image = witness.galois(s)
+            if not ((witness * image).proj_eq(self.identity) if self.flips(s)
+                    else image.proj_eq(witness)):
+                raise CocycleLawViolated(f"law fails at sigma = {s}")
+        self.moving = frozenset(
             s for s in range(field.degree)
-            if self.maps[s].is_scalar() and not self.maps[s].a.is_zero())
-        rational = {s for s, m in self.maps.items()
-                    if all(x.is_rational() for x in m.entries)}
+            if self.flips(s) and not witness.is_scalar())
 
-        def conj(t, s):  # s(a_t)
-            return self.maps[t] if t in rational else self.maps[t].galois(s)
-
-        for s in range(field.degree):
-            for t in range(field.degree):
-                lhs = self.maps[s ^ t]
-                if s in self.scalar:
-                    rhs = conj(t, s)
-                elif t in self.scalar:
-                    rhs = self.maps[s]
-                else:
-                    rhs = self.maps[s] * conj(t, s)
-                if lhs is not rhs and not lhs.proj_eq(rhs):
-                    raise CocycleLawViolated(f"law fails at ({s}, {t})")
+    def flips(self, sigma: int) -> bool:
+        """Does sigma flip sqrt(d)?"""
+        return parity(sigma & self.flip_mask)
 
     def __getitem__(self, sigma: int) -> MoebiusMap:
-        return self.maps[sigma]
+        return self.witness if self.flips(sigma) else self.identity
 
 
 def trivial_cocycle(field: LocalField) -> Cocycle:
-    ident = MoebiusMap.identity(field)
-    return Cocycle(field, {s: ident for s in range(field.degree)})
-
-
-def standard_cocycle(field: LocalField, flip_d: int,
-                     witness: MoebiusMap) -> Cocycle:
-    """a_sigma = witness for every sigma flipping sqrt(flip_d), else id
-    (so id throughout for flip_d = 1).
-
-    With the division-algebra presentation (pi, Delta) and the trivialization
-    i -> [[0,1],[pi,0]], j -> diag(sqrt Delta, -sqrt Delta), the witness is
-    the i-image; general trivializations supply their own witness."""
-    mask = field.mask_of(flip_d)
-    if mask is None:
-        raise ValueError(f"sqrt({flip_d}) not in {field}")
-    ident = MoebiusMap.identity(field)
-    maps = {s: witness if parity(s & mask) else ident
-            for s in range(field.degree)}
-    return Cocycle(field, maps)
+    return Cocycle(field, 1, MoebiusMap.identity(field))
 
 
 class TwistedTree:
@@ -92,22 +75,23 @@ class TwistedTree:
         self.cocycle = cocycle
 
     def apply(self, sigma: int, x):
-        """tau * x = a_tau(tau(x)) on vertices and boundary points.  A
-        scalar a_tau fixes every vertex, midpoints included, so the image of
-        a vertex is then its conjugate, exactly as apply_vertex returns it."""
+        """tau * x = a_tau(tau(x)) on vertices and boundary points.  Off
+        `moving`, a_tau is the identity in PGL_2 and fixes every vertex,
+        midpoints included, so the image of a vertex is its conjugate,
+        exactly as apply_vertex returns it."""
         if isinstance(x, Vertex):
             moved = Vertex(x.center.conj(sigma), x.level)
-            if sigma in self.cocycle.scalar:
-                return moved
-            return self.cocycle[sigma].apply_vertex(moved)
+            if sigma in self.cocycle.moving:
+                return self.cocycle.witness.apply_vertex(moved)
+            return moved
         x = BoundaryPoint.of(x)
         return self.cocycle[sigma].apply_boundary(x.galois(sigma))
 
     def fixes(self, sigma: int, v: Vertex) -> bool:
         """apply(sigma, v) == v, by `MoebiusMap.sends`: no image is built."""
         moved = Vertex(v.center.conj(sigma), v.level)
-        return (moved == v if sigma in self.cocycle.scalar
-                else self.cocycle[sigma].sends(moved, v))
+        return (self.cocycle.witness.sends(moved, v)
+                if sigma in self.cocycle.moving else moved == v)
 
     def invariant_vertices(self, subgroup, window,
                            include_midpoints: bool = False):

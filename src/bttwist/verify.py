@@ -23,8 +23,7 @@ from .branch import (branch_member, branch_with_extension, lift_vertex,
 from . import enumerate as counting
 from . import globalforms
 from .quatalg import maxorder_generators, find_trivialization
-from .twisted import (TwistedTree, VertexOrder, standard_cocycle,
-                      trivial_cocycle)
+from .twisted import Cocycle, TwistedTree, VertexOrder, trivial_cocycle
 
 
 def check_q8_omega() -> tuple:
@@ -224,7 +223,7 @@ def check_twisted_laws(fast: bool = False, seed: int = 77) -> tuple:
     omega = make_field(2, (-1, -3, 2))
     alg, _ = maxorder_generators(2, -3)
     triv = find_trivialization(alg, omega)
-    coc = standard_cocycle(omega, triv.flip_d, triv.cocycle_witness)
+    coc = Cocycle(omega, triv.flip_d, triv.cocycle_witness)
     # cocycle law, exhaustively (also enforced at construction)
     for s in range(8):
         for t in range(8):
@@ -245,8 +244,7 @@ def check_twisted_laws(fast: bool = False, seed: int = 77) -> tuple:
     # the half-level pivot on the unramified quadratic
     F = make_field(2, (-3,))
     trivF = find_trivialization(alg, F)
-    treeF = TwistedTree(F, standard_cocycle(F, trivF.flip_d,
-                                            trivF.cocycle_witness))
+    treeF = TwistedTree(F, Cocycle(F, trivF.flip_d, trivF.cocycle_witness))
     winF = Window(Vertex(F.zero, Fraction(0)), 2)
     inv = treeF.invariant_vertices([0, 1], winF, include_midpoints=True)
     pivot = Vertex(F.zero, Fraction(-1, 2))

@@ -9,6 +9,7 @@ from bttwist.bttree import (BoundaryPoint, MoebiusMap, Vertex, Window,
                             distance, e_vertex_test_untwisted, emit_dot,
                             neighbors, tubular)
 from convex_oracle import Meet, NoPeak, ball, intersect, line, peak
+import vertex_oracle
 
 from helpers import contains_set, lattice_of_vertex, path_vertices, \
     rand_convex, rand_moebius, rand_vertex, same_type, standard_horoball
@@ -358,6 +359,23 @@ class TestWindows:
         monkeypatch.setenv("BTTWIST_VERTEX_CAP", "100")
         with pytest.raises(WindowTooLarge):
             Window(B(Q2, 0, 0), 10)
+
+    @pytest.mark.parametrize("p,args,center,level,radius", [
+        (2, (), 0, 0, 4), (2, (), 1, -2, 3),
+        (2, (-1,), 0, 0, 2), (2, (-1, 2), 0, 0, 1),
+        (2, (-1, -3, 2), "sqrt -3", Fraction(1, 4), Fraction(3, 4)),
+        (3, (), 1, -1, 3), (3, (3,), 0, 0, Fraction(3, 2)),
+        (3, (-1,), 0, 0, 2), (5, (), 0, 0, 2), (5, (5,), 2, 1, 1),
+    ])
+    def test_position_skip_matches_the_equality_rule(self, p, args, center,
+                                                     level, radius):
+        # the oracle skips the neighbour equal to the vertex it came from
+        fld = make_field(p, args)
+        c = fld.sqrt_of(-3) if center == "sqrt -3" else center
+        win = Window(B(fld, c, level), radius)
+        verts, dists, edges = vertex_oracle.window(B(fld, c, level), radius)
+        assert [v.key() for v in win] == [v.key() for v in verts]
+        assert (win.distances, win.edges) == (dists, edges)
 
 
 class TestSubfieldVertices:

@@ -120,6 +120,18 @@ def test_malformed_arguments_are_usage_errors(args):
     assert "usage:" in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("branch", "--field", "2:", "--matrix", "0,1;0,0", "--radius", "1/0"),
+    ("branch", "--field", "2:", "--matrix", "1,1/0;0,1"),
+])
+def test_zero_denominator_is_named_in_the_usage_error(args):
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "zero denominator in '1/0'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_non_prime_p_is_a_json_error():
     proc = run_cli("field", "-p", "4", check=False)
     assert proc.returncode == 1

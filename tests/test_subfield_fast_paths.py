@@ -4,10 +4,10 @@
   decomposition over mhat as they are; the oracle is each component
   times the power of the subfield's uniformizer that its valuation bound
   asks for, which the basis mhat makes 1.
-- `TwistedTree.apply` returns the conjugate vertex itself where the
-  cocycle's map is scalar; the oracle is `apply_vertex` of that map, on
-  windows with their midpoints, under the standard cocycles of every
-  `count-local` case of the golden file and of `table1`.
+- `TwistedTree.apply` returns the conjugate vertex itself for a sigma off
+  the cocycle's `moving` set; the oracle is `apply_vertex` of the
+  cocycle's map, on windows with their midpoints, under the cocycles of
+  every `count-local` case of the golden file and of `table1`.
 - `VertexOrder.lattice_inverse` is written out in closed form; the oracle is
   M^-1 b M as matrix products, on vertices at negative, zero and positive
   levels around centers off the origin.
@@ -67,7 +67,7 @@ def test_unscaled_components_match_the_scaled_rows(field, data):
             [(y.num, y.den) for y in want], sub
 
 
-# -- the twisted action at scalar cocycle values ---------------------------
+# -- the twisted action off the moving sigma -------------------------------
 
 
 def _window_with_midpoints(amb, radius_edges):
@@ -98,16 +98,16 @@ def _apply_mismatches(ctx, vertices):
 def test_apply_matches_apply_vertex_on_count_local_cocycles(group, field):
     p, args = field
     ctx = counting.make_context(group, p, args)
-    assert 0 in ctx.tree.cocycle.scalar
+    assert 0 not in ctx.tree.cocycle.moving
     vertices = _window_with_midpoints(ctx.ambient, 1)
     assert _apply_mismatches(ctx, vertices) == []
 
 
 def test_apply_matches_apply_vertex_on_the_table1_cocycle():
     ctx = counting.make_context("q8", 2, counting.OMEGA_ARGS)
-    scalar = ctx.tree.cocycle.scalar
-    # both kinds of sigma occur: the scalar path and the Moebius action
-    assert 0 < len(scalar) < ctx.ambient.degree
+    moving = ctx.tree.cocycle.moving
+    # both kinds of sigma occur: the conjugate alone and the Moebius action
+    assert 0 < len(moving) < ctx.ambient.degree
     vertices = _window_with_midpoints(ctx.ambient, 2)
     assert _apply_mismatches(ctx, vertices) == []
 

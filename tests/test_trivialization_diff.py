@@ -16,7 +16,7 @@ import trivialization_oracle as oracle
 from bttwist.errors import FieldTooSmall, ZeroInput
 from bttwist.padic import make_field
 from bttwist.quatalg import QuaternionAlgebra, find_trivialization
-from bttwist.twisted import standard_cocycle
+from bttwist.twisted import Cocycle
 
 PARAMS = [Fraction(n) for n in (-1, -2, -3, 2, 3, 5, -5, 6, -6, 7)] + [
     Fraction(1, 2), Fraction(-10)]
@@ -76,7 +76,7 @@ def test_rational_solution_over_the_base_field():
                 W = t.cocycle_witness
                 assert t.flip_d == 1
                 assert (W.a, W.b, W.c, W.d) == (1, 0, 0, 1)
-                standard_cocycle(F, t.flip_d, W)  # sqrt(1) is in every field
+                Cocycle(F, t.flip_d, W)  # sqrt(1) is in every field
     assert solved == 111
 
 

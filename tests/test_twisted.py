@@ -13,12 +13,13 @@ from bttwist.bttree import (BoundaryPoint, MoebiusMap, Vertex, Window,
 from bttwist.quatalg import (find_trivialization,
                              maxorder_generators, q8_trivialization,
                              standard_groups)
-from bttwist.twisted import (Cocycle, TwistedTree,
-                             order_lattice_of_vertex, standard_cocycle,
+from bttwist.twisted import (Cocycle, TwistedTree, order_lattice_of_vertex,
                              subfield_vertex_test, sublattice_machinery,
                              trivial_cocycle)
 
+from cocycle_oracle import first_violation
 from helpers import rand_vertex
+from test_cocycle_witness import law_fails_where_the_oracle_does
 import vertex_oracle
 
 OMEGA = make_field(2, (-1, -3, 2))
@@ -28,7 +29,7 @@ F_UNRAM = make_field(2, (-3,))
 def division_tree(field):
     alg, _ = maxorder_generators(2, -3)
     triv = find_trivialization(alg, field)
-    coc = standard_cocycle(field, triv.flip_d, triv.cocycle_witness)
+    coc = Cocycle(field, triv.flip_d, triv.cocycle_witness)
     return TwistedTree(field, coc), triv
 
 
@@ -49,7 +50,7 @@ class TestCocycles:
 
     def test_seven_variant_witness(self):
         g = q8_trivialization(OMEGA)
-        coc = standard_cocycle(OMEGA, g.flip_d, g.I)
+        coc = Cocycle(OMEGA, g.flip_d, g.I)
         want = MoebiusMap.from_rows(OMEGA, [[0, 1], [-2, 0]])
         flips = OMEGA.mask_of(-3)
         for s in range(8):
@@ -59,10 +60,25 @@ class TestCocycles:
                 assert coc[s].proj_eq(MoebiusMap.identity(OMEGA))
 
     def test_law_violation_detected(self):
-        bad = {s: MoebiusMap.identity(F_UNRAM) for s in range(2)}
-        bad[1] = MoebiusMap.from_rows(F_UNRAM, [[1, 1], [0, 1]])
-        with pytest.raises(CocycleLawViolated):
-            Cocycle(F_UNRAM, bad)
+        # W sigma(W) = [[1, 2], [0, 1]] at the sigma flipping sqrt(-3)
+        bad = MoebiusMap.from_rows(F_UNRAM, [[1, 1], [0, 1]])
+        with pytest.raises(CocycleLawViolated) as err:
+            Cocycle(F_UNRAM, -3, bad)
+        assert "sigma = 1" in str(err.value)
+
+    def test_witness_cocycle_answers_by_parity(self):
+        g = q8_trivialization(OMEGA)
+        coc = Cocycle(OMEGA, g.flip_d, g.I)
+        flipping = {s for s in range(8) if parity(s & OMEGA.mask_of(-3))}
+        assert {s for s in range(8) if coc.flips(s)} == flipping
+        assert coc.moving == flipping
+        assert all(coc[s] is (g.I if s in flipping else coc.identity)
+                   for s in range(8))
+        scalar = MoebiusMap.from_rows(OMEGA, [[3, 0], [0, 3]])
+        assert Cocycle(OMEGA, -3, scalar).moving == frozenset()
+        assert trivial_cocycle(OMEGA).moving == frozenset()
+        with pytest.raises(ValueError):
+            Cocycle(F_UNRAM, -1, g.I)  # sqrt(-1) is not in Q_2(sqrt -3)
 
     @pytest.mark.parametrize("entries,pair", [
         # a_1 = [[0, 1], [-1, 0]] squares to -1, so the pairs before (1, 2)
@@ -75,7 +91,9 @@ class TestCocycles:
          "(2, 1)"),
     ])
     def test_law_checked_on_pairs_with_a_scalar_factor(self, entries, pair):
-        # a scalar value skips the law's product, never the pair
+        # the pair-by-pair oracle, the reference for `Cocycle`, checks the
+        # pairs where a factor is scalar; the witness a_1 with the flip of
+        # sqrt(-3) gives a cocycle exactly when its own table passes it
         F = make_field(2, (-3, 2))
         r = F.sqrt_of(2)
         maps = {0: MoebiusMap.identity(F)}
@@ -83,9 +101,8 @@ class TestCocycles:
             maps[s] = MoebiusMap.from_rows(
                 F, [[r if x == "r" else x for x in row] for row in rows])
         assert maps[2].is_scalar()
-        with pytest.raises(CocycleLawViolated) as err:
-            Cocycle(F, maps)
-        assert pair in str(err.value)
+        assert str(first_violation(F, maps)) == pair
+        law_fails_where_the_oracle_does(F, -3, maps[1])
 
 
 class TestTwistedAction:
@@ -262,7 +279,7 @@ class TestSubfieldVertexTest:
     def test_center_vertex_over_ramified_quadratics(self):
         tree, triv = division_tree(OMEGA)
         g = q8_trivialization(OMEGA)
-        treeq = TwistedTree(OMEGA, standard_cocycle(OMEGA, g.flip_d, g.I))
+        treeq = TwistedTree(OMEGA, Cocycle(OMEGA, g.flip_d, g.I))
         vc = Vertex(OMEGA.zero, Fraction(-1, 2))
         for d in (-1, 3, 2, -2, 6, -6):
             sub = OMEGA.find_subfield((d,))
@@ -273,7 +290,7 @@ class TestSubfieldVertexTest:
     def test_swapped_pair_over_unramified(self):
         EF = make_field(2, (-1, -3))
         g = q8_trivialization(EF)
-        tree = TwistedTree(EF, standard_cocycle(EF, g.flip_d, g.I))
+        tree = TwistedTree(EF, Cocycle(EF, g.flip_d, g.I))
         subE = EF.find_subfield((-3,))
         subF = EF.find_subfield((-1,))
         w1 = Vertex(EF.zero, Fraction(-1))
@@ -321,7 +338,7 @@ class TestSubfieldVertexTest:
     def test_branch_stability_under_twisted_action(self):
         from bttwist.branch import branch_member
         g = q8_trivialization(OMEGA)
-        tree = TwistedTree(OMEGA, standard_cocycle(OMEGA, g.flip_d, g.I))
+        tree = TwistedTree(OMEGA, Cocycle(OMEGA, g.flip_d, g.I))
         _, (u, v) = standard_groups()["q8"]
         U, V = g.image(u), g.image(v)
         win = Window(Vertex(OMEGA.zero, Fraction(-1, 2)), Fraction(1, 2))

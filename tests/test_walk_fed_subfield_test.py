@@ -12,9 +12,9 @@ closed form, against the slow paths they replace.
   once; the oracle is the rank loop, on every golden context, a triple
   whose pairs each share an eigenvector (so the rank loop runs) and a
   reducible pair.
-- The cocycle law skips the arithmetic where both sides are one object or
-  a_t is rational; a corrupted cocycle must fail at the pair the full
-  check fails at.
+- The cocycle law is one check per sigma on the witness W; a corrupted
+  witness must fail at the sigma of the first pair where the pair-by-pair
+  law (`cocycle_oracle.first_violation`) fails on {sigma: W^eps(sigma)}.
 """
 
 from fractions import Fraction
@@ -33,7 +33,9 @@ from bttwist.quatalg import (HAMILTON, QuaternionAlgebra, find_trivialization,
                              maxorder_generators, q8_trivialization,
                              standard_groups)
 from bttwist.twisted import Cocycle, VertexOrder
+from cocycle_oracle import first_violation, witness_table
 from test_branch_walk_diff import CASES  # the golden count-local cases
+from test_cocycle_witness import law_fails_where_the_oracle_does
 
 
 def lattice_inverse_by_conjugation(triv, v):
@@ -207,49 +209,28 @@ def test_reducible_pair_raises():
 # -- the cocycle law -------------------------------------------------------
 
 
-def first_violation(field, maps):
-    """The first pair (s, t) where a_{st} and a_s s(a_t) differ in PGL_2,
-    every pair computed in full."""
-    for s in range(field.degree):
-        for t in range(field.degree):
-            if not maps[s ^ t].proj_eq(maps[s] * maps[t].galois(s)):
-                return f"({s}, {t})"
-    return None
-
-
 def test_corrupted_cocycle_fails_where_the_shortcut_applies():
-    # a_1 is scalar, a_2 = W rational, a_3 = W' not W in PGL_2: at (1, 2)
-    # s(a_2) is a_2 itself, with no conjugation, and the law fails there
+    # a rational witness is its own conjugate, s(W) = W, so the law at the
+    # sigma fixing sqrt(d) holds and it fails at the first sigma flipping
+    # sqrt(2), where W W = [[1, 2], [0, 1]] is not scalar
     F = make_field(2, (-3, 2))
-    ident, three, W, W2 = _maps(F, [[1, 0], [0, 1]], [[3, 0], [0, 3]],
-                                [[0, 1], [-2, 0]], [[0, 1], [2, 0]])
-    maps = {0: ident, 1: three, 2: W, 3: W2}
-    assert first_violation(F, maps) == "(1, 2)"
+    W, = _maps(F, [[1, 1], [0, 1]])
+    assert first_violation(F, witness_table(F, 2, W)) == (2, 2)
     with pytest.raises(CocycleLawViolated) as err:
-        Cocycle(F, maps)
-    assert "(1, 2)" in str(err.value)
+        Cocycle(F, 2, W)
+    assert "sigma = 2" in str(err.value)
 
 
 def test_shared_objects_and_rational_maps_still_fail_at_the_same_pair():
-    # corrupt the table1 cocycle one map at a time, by a map shared with
-    # another sigma (so both sides of some pair are one object) or by a
-    # rational or irrational non-scalar map
+    # replace the table1 witness, one shared object at every sigma flipping
+    # sqrt(d), by rational and irrational maps, a singular one and zero
     ctx = counting.make_context("q8", 2, counting.OMEGA_ARGS)
-    F, good = ctx.ambient, ctx.tree.cocycle.maps
+    F, coc = ctx.ambient, ctx.tree.cocycle
     r = F.sqrt_of(2)
-    odd = _maps(F, [[1, 1], [0, 1]], [[0, 1], [2, 0]])
+    odd = _maps(F, [[1, 1], [0, 1]], [[0, 1], [2, 0]], [[1, 0], [0, 0]],
+                [[0, 0], [0, 0]])
     odd.append(MoebiusMap(F.one, r, F.zero, F.one))
-    failures = 0
-    for s in range(1, F.degree):
-        for bad in odd + [good[s ^ 1]]:
-            maps = dict(good)
-            maps[s] = bad
-            want = first_violation(F, maps)
-            if want is None:
-                Cocycle(F, maps)
-                continue
-            failures += 1
-            with pytest.raises(CocycleLawViolated) as err:
-                Cocycle(F, maps)
-            assert want in str(err.value)
-    assert failures >= 3 * (F.degree - 1)
+    raised = [law_fails_where_the_oracle_does(F, ctx.triv.flip_d, W)
+              for W in [coc.witness] + odd]
+    # [[0, 1], [2, 0]] squares to 2 and is rational: a cocycle
+    assert raised == [False, True, False, True, True, True]

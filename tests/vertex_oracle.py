@@ -5,6 +5,9 @@ the same-center shortcut: Fraction inequality on the levels, then the
 valuation of the centers' difference.  `invariant_vertices` is
 `TwistedTree.invariant_vertices` as it was before each twisted action was
 computed once: it applies every group element afresh for every test.
+`window` is the expansion of `Window` as it was before the vertex each
+vertex was reached from was skipped by position: it skips the neighbour
+equal to it, by `Vertex.__eq__`.
 
 `reduce_center` and `approximates_from` are the two digit loops that
 `bttree.digit_rest` replaced: the first tries every residue representative
@@ -16,7 +19,7 @@ L that `approximates_from` finds outside E.
 
 from fractions import Fraction
 
-from bttwist.bttree import Vertex
+from bttwist.bttree import Vertex, neighbors
 from bttwist.errors import InternalInvariant
 from bttwist.padic import INFINITY, FieldElement, Subfield
 
@@ -47,6 +50,27 @@ def invariant_vertices(tree, subgroup, window, include_midpoints=False):
             if swapped and stable:
                 out.append(mid)
     return out
+
+
+def window(center, radius):
+    """(vertices, distances, edges) of the window of that radius."""
+    step = Fraction(1, center.field.e)
+    vertices, distances, edges = [center], [Fraction(0)], []
+    frontier = [(center, None, 0)]
+    d = Fraction(0)
+    while d + step <= radius:
+        d += step
+        nxt = []
+        for v, parent, vi in frontier:
+            for n in neighbors(v):
+                if parent is not None and n == parent:
+                    continue
+                vertices.append(n)
+                distances.append(d)
+                edges.append((vi, len(vertices) - 1))
+                nxt.append((n, v, len(vertices) - 1))
+        frontier = nxt
+    return vertices, distances, edges
 
 
 def reduce_center(a: FieldElement, n_end: int) -> FieldElement:
