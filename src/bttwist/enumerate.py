@@ -199,8 +199,9 @@ def branch_walk(images, center: Vertex) -> list:
     one valuation per image.  The child B(a + c t, r + 1/e), basis
     M [[pi, c], [0, 1]], has X' = [[x11 - c x21, y / pi], [pi x21, x22 +
     c x21]] with y = x12 + c (x11 - x22 - c x21): a member iff
-    v(y) >= 1/e.  At the residue representatives 0 and 1, when they are
-    the first two, no product by c is taken.  The up-neighbour
+    v(y) >= 1/e.  The residue representatives begin with 0 and 1 (an
+    invariant of `LocalField.residue_reps`), and at those two no product by
+    c is taken.  The up-neighbour
     B(a, r - 1/e), basis M [[1/pi, 0], [0, 1]], has X' = [[x11, pi x12],
     [x21 / pi, x22]]: a member iff v(x21) >= 1/e.  The vertex a member came
     from is skipped by position."""
@@ -211,8 +212,6 @@ def branch_walk(images, center: Vertex) -> list:
     f = v.field
     cap, step = vertex_cap(), Fraction(1, f.e)
     pi, pi_inv, reps = f.pi_pow(1), f.pi_pow(-1), f.residue_reps
-    # how many leading representatives are 0 and 1, stepped without products
-    plain = 2 if reps[0].is_zero() and reps[1] == f.one else 0
     members = []
     queue = deque([(v, skip, [conjugate_by_vertex(m, v) for m in images])])
     while queue:
@@ -230,7 +229,7 @@ def branch_walk(images, center: Vertex) -> list:
             c = reps[i]
             shifted = []
             for x11, x12, x21, x22 in xs:
-                if i >= plain:
+                if i >= 2:
                     cx21 = x21 * c
                     x11, x12, x22 = (x11 - cx21, x12 + (x11 - x22 - cx21) * c,
                                      x22 + cx21)

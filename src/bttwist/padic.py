@@ -187,6 +187,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# residue_reps lists the residue field, and the walk, the digits and the
+# quadratic defect scan it; 4096 admits every f = 2 field at p < 64.
+RESIDUE_FIELD_LIMIT = 4096
+# the small rationals residue_reps takes first at odd p, in order
+_RESIDUE_POOL = tuple(Fraction(c) for c in (
+    1, -1, "1/2", "-1/2", 2, -2, 3, -3, "1/3", "-1/3", "2/3", "-2/3"))
+
 _FIELD_CACHE: dict = {}
 
 
@@ -426,45 +433,36 @@ class LocalField:
 
     # -- residue representatives and uniformizer -------------------------------
 
-    def _unit_monomials(self):
-        """One unit representative per monomial whose valuation is integral."""
-        out = [self.one]
-        for mask in range(1, self.degree):
-            x = self.monomial(mask)
-            v = x.valuation()
-            if v.denominator == 1:
-                out.append(self.monomial(mask, Fraction(1, self.p ** int(v))))
-        return out
-
-    def _candidate_elements(self, max_terms=3):
-        """Deterministic stream of small elements, ordered by complexity."""
-        coef_pool = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
-                     Fraction(2), Fraction(-2), Fraction(3), Fraction(-3),
-                     Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3),
-                     Fraction(-2, 3)]
-        units = self._unit_monomials()
-        for nterms in range(1, max_terms + 1):
-            for support in itertools.combinations(range(len(units)), nterms):
-                for coefs in itertools.product(coef_pool, repeat=nterms):
-                    x = self.zero
-                    for ui, c in zip(support, coefs):
-                        x = x + units[ui] * c
-                    yield x
-
     @property
     def residue_reps(self):
-        """Canonical integral representatives of the residue field (q of them)."""
+        """The q representatives of the residue field, 0 and 1 first, in
+        closed form (J.-P. Serre, *Local Fields*, ch. II); q past
+        RESIDUE_FIELD_LIMIT raises NumberTooLarge.  P is the units of
+        _RESIDUE_POOL, the first of each class mod p, then the least
+        positive integer of each class still missing.  They are 0 and P;
+        when f = 2, with u the unramified monomial scaled to a unit, also
+        (1 +- u)/2 at p = 2, and at odd p c u, then a + b u (a, b, c in P)."""
         if self._residue_reps is None:
-            reps = [self.zero]
-            for x in self._candidate_elements(max_terms=2):
-                if not (x.valuation() == 0):
-                    continue
-                if all((x - r).valuation() == 0 for r in reps[1:]):
-                    reps.append(x)
-                if len(reps) == self.q:
-                    break
-            if len(reps) != self.q:
-                raise InternalInvariant(f"residue search failed for {self}")
+            p = self.p
+            if self.q > RESIDUE_FIELD_LIMIT:
+                raise NumberTooLarge(
+                    f"{self} has {self.q} residue classes, more than "
+                    f"RESIDUE_FIELD_LIMIT = {RESIDUE_FIELD_LIMIT}")
+            units = {}  # class mod p -> its representative
+            for c in (*_RESIDUE_POOL, *range(1, p)):
+                n, d = c.as_integer_ratio()
+                if n % p and d % p:
+                    units.setdefault(n * pow(d, -1, p) % p, Fraction(c))
+            units = list(units.values())
+            reps = [self.zero] + [self.from_rational(c) for c in units]
+            if self.f == 2:
+                m = self.monomial(self.unramified_mask)
+                u = m / p ** int(m.valuation())
+                if p == 2:
+                    reps += [(1 + u) / 2, (1 - u) / 2]
+                else:
+                    reps += ([u * c for c in units]
+                             + [a + u * b for a in reps[1:] for b in units])
             self._residue_reps = tuple(reps)
         return self._residue_reps
 
@@ -475,6 +473,12 @@ class LocalField:
         return self._uniformizer
 
     def _find_uniformizer(self):
+        """An element of valuation 1/e: p, a monomial, 1 + a monomial or
+        (m1 +- m2)/2 - 1.  At odd p, e <= 2 and a class d with v_p(d) odd
+        gives a monomial.  At p = 2 with e = 2, a ramified generator is such
+        a class or a unit d = 3 (mod 4), and 1 + sqrt(d) has valuation 1/2.
+        At p = 2 with e = 4, no model of a sweep (pairs of generators with
+        |d| <= 120, triples with |d| <= 40) needed more."""
         target = Fraction(1, self.e)
         if self.e == 1:
             return self.from_rational(self.p)
@@ -486,7 +490,6 @@ class LocalField:
             x = self.one + self.monomial(mask)
             if x.valuation() == target:
                 return x
-        # totally ramified quartic shape: (m1 +- m2)/2 - 1
         for m1 in range(1, self.degree):
             for m2 in range(m1 + 1, self.degree):
                 for s in (1, -1):
@@ -494,9 +497,6 @@ class LocalField:
                     x = x - self.one
                     if x.valuation() == target:
                         return x
-        for x in self._candidate_elements(max_terms=3):
-            if x.valuation() == target:
-                return x
         raise InternalInvariant(f"no uniformizer found for {self}")
 
     def pi_pow(self, n: int) -> "FieldElement":

@@ -261,6 +261,31 @@ def test_global_past_the_class_group_limit_is_a_typed_error():
     assert elapsed < 1
 
 
+def test_residue_field_past_its_limit_is_a_typed_error():
+    # the closed form lists q = p^2 representatives, about 10^18 here
+    start = time.perf_counter()
+    proc = run_cli("count-local", "--group", "q8", "--field", "1000000007:",
+                   check=False, timeout=20)
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)
+    assert err["error"] == "NumberTooLarge"
+    assert str(1000000007 ** 2) in err["message"]
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("args,expect", [
+    (("field", "-p", "17", "--sqrts", "3"),
+     {"e": 1, "f": 2, "residue_size": 289, "sample_defects": {"3": "0/1"}}),
+    (("branch", "--field", "17:", "--matrix", "0,17;1,0", "--radius", "1"),
+     {"ambient_sqrt_args": [17], "member_ids": ["B[0]@0/1", "B[0]@1/1"]}),
+])
+def test_residue_digits_past_p_13(args, expect):
+    # regression: both raised InternalInvariant, since a search of small
+    # rationals found at most 12 residue classes mod p
+    out = json.loads(run_cli(*args).stdout)
+    assert {k: out[k] for k in expect} == expect
+
+
 def test_vertex_cap_env():
     proc = run_cli("count-local", "--group", "q8", "--field", "2:-3",
                    env_extra={"BTTWIST_VERTEX_CAP": "2"}, check=False)

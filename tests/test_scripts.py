@@ -1,8 +1,10 @@
-"""The scripts under scripts/, run in-process through their `main`."""
+"""The scripts under scripts/, run in-process through their `main` or
+their functions."""
 
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from bttwist.twisted import VertexOrder
@@ -10,10 +12,15 @@ from bttwist.twisted import VertexOrder
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _run(monkeypatch, name, *argv):
+def _load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _run(monkeypatch, name, *argv):
+    module = _load(name)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
     return module.main()
 
@@ -51,6 +58,38 @@ def test_ambient_sweep(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DISAGREE" not in out
     assert out.splitlines()[-1] == "14 contexts, 0 disagreeing fields"
+
+
+def test_local_sweep(monkeypatch, capsys):
+    assert _run(monkeypatch, "local_sweep", "--groups", "q8,maxorder",
+                "--primes", "3,19") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("28 cases, 0 faults, ")
+    assert lines[:-1] == ["answer               20",
+                          "SplitPrime           6",
+                          "FieldTooSmall        2"]
+
+
+def test_local_sweep_past_the_residue_pool():
+    # the input-space contract at p = 17, 19 and 23, where the residue
+    # representatives outgrow the pool of small rationals: no case ends in
+    # InternalInvariant or an untyped exception, each answer meets the q8
+    # and maxorder oracles, and a FieldTooSmall must be a known case; 42
+    # of the 84 cases answer
+    sweep = _load("local_sweep")
+    cases = list(sweep.sweep(sweep.GROUPS, [17, 19, 23]))
+    assert [c for c in cases if c[4]] == []
+    outcomes = Counter(c[3] for c in cases)
+    assert set(outcomes) <= {"answer", "SplitPrime", "FieldTooSmall"}
+    assert outcomes["answer"] >= 42
+    # the oracles are asked: q8 over Q_19(sqrt -1); maxorder over Q_19,
+    # Q_19(sqrt -1) (f = 2, e = 1), Q_19(sqrt 19) (f = 1) and both
+    for group, args, count in (("q8", (-1,), 1), ("maxorder", (), 0),
+                               ("maxorder", (-1,), 2), ("maxorder", (19,), 1),
+                               ("maxorder", (-1, 19), 3)):
+        rep = sweep.run_case(group, 19, args)[1]
+        assert rep.count == count
+        assert sweep.expected_count(group, 19, args, rep) == count
 
 
 def test_table1_layers(monkeypatch, capsys):
