@@ -4,19 +4,19 @@
     python3 scripts/table1_layers.py [--src DIR] [--runs N]
 
 For the bttwist found in DIR (default: this checkout's `src/`), runs
-`table1` N times (after two warm-up runs) with wrappers on four layers and
-prints one JSON object: per layer, the median milliseconds per `table1` and
-the field products (`FieldElement.__mul__` calls) per `table1`.  Products
-are counted in a separate pass, so that the counter adds nothing to the
-times.  The layers:
+`table1` N times (after two warm-up runs) with wrappers on three layers and
+prints one JSON object: per layer, the median milliseconds per `table1`,
+and the calls and the field products (`FieldElement.__mul__` calls) per
+`table1`.  Calls and products are counted in a separate pass, so that the
+counters add nothing to the times.  The layers:
 
 - `make_context`: the trivialization, the cocycle law and the
   irreducibility check;
-- `basis_valuation`: v(det T) of the trivialization, computed on the
-  first kernel call;
 - `flood_fill`: the seed search and flood fill of the branch
   (`enumerate.branch_walk`, or `branch_vertices` where there is no walk);
-- `lattice_inverse`: `VertexOrder.lattice_inverse`, all members together.
+- `closed_form`: `SubfieldLattice.distance`, the subfield test of the pairs
+  whose cocycle is trivial on Gal(L/E), all of them together (absent from
+  a tree without it).
 
 Pin the process to one CPU (`taskset -c 0`) and alternate two trees' runs
 to compare them; the host's speed drifts between minutes.
@@ -30,7 +30,6 @@ import io
 import json
 import statistics
 import sys
-from functools import cached_property
 from pathlib import Path
 from time import perf_counter
 
@@ -42,19 +41,12 @@ def _patch(undo: list, owner, name, new):
     setattr(owner, name, new)
 
 
-def _patch_property(undo: list, cls, name, wrap):
-    new = cached_property(wrap(cls.__dict__[name].func))
-    new.__set_name__(cls, name)
-    _patch(undo, cls, name, new)
-
-
 def install(totals: dict, products: list) -> list:
-    """Wrap the four layers and count field products; each call adds its
-    time (s) and the products it made to totals[layer].  Returns the
-    (owner, name, original) bindings to restore."""
+    """Wrap the three layers and count field products; each call adds its
+    time (s), itself and the products it made to totals[layer].  Returns
+    the (owner, name, original) bindings to restore."""
     from bttwist import enumerate as counting
-    from bttwist import quatalg
-    from bttwist.twisted import VertexOrder
+    from bttwist import twisted
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
@@ -62,9 +54,10 @@ def install(totals: dict, products: list) -> list:
             try:
                 return fn(*args, **kwargs)
             finally:
-                cell = totals.setdefault(name, [0.0, 0])
+                cell = totals.setdefault(name, [0.0, 0, 0])
                 cell[0] += perf_counter() - t0
                 cell[1] += products[0] - p0
+                cell[2] += 1
         return wrapper
 
     undo: list = []
@@ -73,10 +66,10 @@ def install(totals: dict, products: list) -> list:
     _patch(undo, counting, fill, timed("flood_fill", getattr(counting, fill)))
     _patch(undo, counting, "make_context",
            timed("make_context", counting.make_context))
-    _patch_property(undo, VertexOrder, "lattice_inverse",
-                    lambda f: timed("lattice_inverse", f))
-    _patch_property(undo, quatalg._BasisCoordinates, "basis_valuation",
-                    lambda f: timed("basis_valuation", f))
+    lattice = twisted.SubfieldLattice
+    if hasattr(lattice, "distance"):
+        _patch(undo, lattice, "distance",
+               timed("closed_form", lattice.distance))
     return undo
 
 
@@ -121,12 +114,13 @@ def main(argv=None) -> int:
         for owner, name, original in reversed(undo):
             setattr(owner, name, original)
     out = {"src": args.src, "runs": args.runs, "layers": {}}
-    totals["table1"] = [0.0, products[0]]
+    totals["table1"] = [0.0, products[0], 1]
     for name in sorted(per_run[0]):
         ms = statistics.median(run.get(name, 0.0) for run in per_run) * 1e3
-        out["layers"][name] = {
-            "ms_per_table1": round(ms, 3),
-            "products_per_table1": totals.get(name, [0.0, 0])[1]}
+        _, made, calls = totals.get(name, [0.0, 0, 0])
+        out["layers"][name] = {"ms_per_table1": round(ms, 3),
+                               "calls_per_table1": calls,
+                               "products_per_table1": made}
     print(json.dumps(out, indent=1))
     return 0
 

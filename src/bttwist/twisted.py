@@ -4,7 +4,9 @@ A 1-cocycle valued in Moebius maps twists the coordinate Galois action:
 tau * x = a_tau(tau(x)).  The nontrivial class realizes the quaternion
 division algebra; vertices of the subtree belonging to an intermediate
 field E are recognized by an exact lattice criterion: the order of the
-vertex must be spanned over O_L by its E-rational quaternions.
+vertex must be spanned over O_L by its E-rational quaternions.  Where the
+cocycle is trivial on Gal(L/E), that subtree is the standard E-tree, and
+a distance to E decides it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 from functools import cached_property
 
 from .errors import CocycleLawViolated, InternalInvariant
-from .padic import LocalField, Subfield, parity, xor_basis
+from .padic import (INFINITY, LocalField, Subfield, _reduced, parity,
+                    val_min, xor_basis)
 from .bttree import BoundaryPoint, MoebiusMap, Vertex
 from .branch import conjugate_by_vertex
 from .linalg import inverse, pivot_valuation_sum
@@ -61,6 +64,13 @@ class Cocycle:
 
     def __getitem__(self, sigma: int) -> MoebiusMap:
         return self.witness if self.flips(sigma) else self.identity
+
+    def trivial_on(self, span) -> bool:
+        """Is a_sigma = 1 in PGL_2 for every sigma fixing the monomials of
+        the span, the Galois group of the subfield they span?  Exactly when
+        none of those sigma is moving: none is, or sqrt(d) lies in the span,
+        and then they all fix it."""
+        return not self.moving or self.flip_mask in span
 
 
 def trivial_cocycle(field: LocalField) -> Cocycle:
@@ -137,11 +147,17 @@ def order_lattice_of_vertex(triv, v: Vertex):
 
 
 class SubfieldLattice:
-    """Per (L, E) machinery for an L/E with f(L/E) = 1: the O_E-basis
-    mhat_t = pi_L^t (0 <= t < e(L/E)) of O_L, and the subfield test's
-    E-functionals over it.  `VertexOrder._decide` sends every ramified E
-    with f_E < f_L to relative descent first, so no other pair reaches
-    here; one that does raises InternalInvariant.
+    """Per (L, E) machinery for an L/E with f(L/E) = 1 and e(L/E) > 1: the
+    O_E-basis mhat_t = pi_L^t (0 <= t < e(L/E)) of O_L, the change of basis
+    to it (`decompose`), and the two subfield tests built on it.
+    `VertexOrder._decide` sends every ramified E with f_E < f_L to relative
+    descent first, so no other pair reaches here; one that does raises
+    InternalInvariant.
+
+    Where the cocycle is trivial on Gal(L/E), T_E is the standard E-tree
+    and `distance` decides it in closed form.  The lattice echelon is left
+    for the twisted pairs: `functionals` gives its rows, and the pivot
+    kernel is their only consumer.
 
     v(mhat_t) = t / e_L lies in [0, 1/e_E).  The subfield test bounds
     component t of a decomposition by -v(mhat_t), and the least point of
@@ -159,7 +175,8 @@ class SubfieldLattice:
         self.mhat = self._basis()
         if len(self.mhat) != L.degree // E.degree:
             raise InternalInvariant(f"{len(self.mhat)} mhat for {sub}")
-        if not all(0 <= mh.valuation() * E.e < 1 for mh in self.mhat):
+        self._mhat_vals = [mh.valuation() for mh in self.mhat]
+        if not all(0 <= val * E.e < 1 for val in self._mhat_vals):
             raise InternalInvariant(
                 f"an mhat valuation leaves [0, 1/e_E) for {sub}")
         # rational change of basis: columns are embed(E-monomial)*mhat;
@@ -182,29 +199,51 @@ class SubfieldLattice:
                 "decides every pair with f_E < f_L")
         return [self.L.pi_pow(t) for t in range(self.e_rel)]
 
+    def decompose(self, num) -> list:
+        """The change of basis on the integer numerator of an element
+        x = num / den of L: the integer vector y with
+        x = sum_t mhat_t * y[t n : (t + 1) n] / (den * _den) in E's
+        coordinates, n = [E : Q_p].  Only nonzero entries of num meet the
+        change of basis, each through its sparse column."""
+        y = [0] * len(self._cols)
+        for c, col in zip(num, self._cols):
+            if c:
+                for i, r in col:
+                    y[i] += c * r
+        return y
+
+    def distance(self, x):
+        """dist(x, E) = max over y in E of v(x - y), INFINITY for x in E.
+
+        Write x = sum_t mhat_t y_t with y_t in E.  The terms with t >= 1
+        have valuations t / e_L + v(y_t) in distinct classes modulo E's
+        value group (1/e_E)Z, and none of them lies in it, so they cannot
+        cancel: v(x - y) = min(v(y_0 - y), min over t >= 1 of those), and
+        y = y_0 attains the maximum, the minimum over t >= 1."""
+        E, n = self.E, self.E.degree
+        y, den = self.decompose(x.num), x.den * self._den
+        dist = INFINITY
+        for t in range(1, self.e_rel):
+            part = tuple(y[t * n:(t + 1) * n])
+            if any(part):
+                dist = val_min(dist, self._mhat_vals[t]
+                               + _reduced(E, part, den).valuation())
+        return dist
+
     def functionals(self, matrix):
         """The echelon rows for the rows of a matrix over L, as the integer
         vectors and scales that `pivot_valuation_sum` takes.  Writing each
         entry x = sum_s mhat_s * y_s with y_s in E, component s of the
-        entries of one matrix row is one echelon row.  The change of basis
-        acts on each entry's integer numerator, and a matrix row's entries
-        are brought to the lcm of their denominators, so that row's
-        components share one scale.  Only nonzero numerators meet the
-        change of basis, each through its sparse column."""
-        n, cols, width = self.E.degree, self._cols, len(self._cols)
+        entries of one matrix row is one echelon row: an E-functional.  A
+        matrix row's entries are brought to the lcm of their denominators
+        before `decompose`, so that row's components share one scale."""
+        n, width = self.E.degree, len(self._cols)
         rows, scales = [], []
         for xs in matrix:
             den = math.lcm(*(x.den for x in xs))
-            images = []
-            for x in xs:
-                k = den // x.den
-                y = [0] * width
-                for c, col in zip(x.num, cols):
-                    if c:
-                        c *= k
-                        for i, r in col:
-                            y[i] += c * r
-                images.append(y)
+            images = [self.decompose(x.num if x.den == den else
+                                     [c * (den // x.den) for c in x.num])
+                      for x in xs]
             for s in range(0, width, n):
                 rows.append([tuple(y[s:s + n]) for y in images])
             scales.extend([den * self._den] * (width // n))
@@ -300,9 +339,18 @@ class VertexOrder:
 
         Criterion: the order of v is spanned over O_L by its E-rational
         part, equivalently the E-rational sublattice has full volume.  A
-        cheap twisted Galois invariance check filters first.  Three exact
+        cheap twisted Galois invariance check filters first.  Four exact
         facts decide most pairs without the lattice echelon:
 
+        - trivial descent: where a_sigma = 1 in PGL_2 for every sigma in
+          Gal(L/E) (the cocycle moves nothing, or sqrt(flip_d) lies in E),
+          the twisted action of Gal(L/E) is the coordinate one, so
+          tau(H_E) = M_2(E).  The orders that descend are End(Lambda (x)
+          O_L) for the O_E-lattices Lambda, and T_E is the standard E-tree:
+          B(a, r) lies in it exactly when r is in (1/e_E)Z and
+          v(a - y) >= r for some y in E (`SubfieldLattice.distance`).
+          Elsewhere a sigma in Gal(L/E) acts through the witness, and the
+          vertices of T_E need not sit on E's levels;
         - unramified descent: if L/E is unramified (E.e == L.e), O_L/O_E is
           etale and H^1(Gal(L/E), GL_n(O_L)) is trivial, so an invariant
           order descends to O_E (J.-P. Serre, Local Fields, GTM 67);
@@ -337,17 +385,23 @@ class VertexOrder:
     def _decide(self, sub: Subfield) -> bool:
         """`in_subtree` for a subfield the memo cannot answer.
 
-        Midpoints, vertices the twisted action moves and levels off E's
-        value group are outside; unramified L/E descends, and a ramified
-        L/E with f_E < f_L is decided at E' = E L_ur.  Invariance is asked
-        of the subfield's fixing generators, cached per subfield.
-        E' is a proper subfield, as E' = L would force e_E = e_L.
+        Midpoints and vertices the twisted action moves are outside;
+        unramified L/E descends, and a ramified L/E with f_E < f_L is
+        decided at E' = E L_ur.  Invariance is asked of the subfield's
+        fixing generators, cached per subfield.  E' is a proper subfield,
+        as E' = L would force e_E = e_L.
 
-        For the other ramified pairs, each entry of B^-1 is decomposed over
-        the mhat basis, and component s of the entries of one row is one
-        echelon row: an E-functional, and the E-rational part of the order
-        is where all of them are integral (SubfieldLattice shows why no
-        component needs scaling).  The rows' echelon over O_E is never
+        Where the cocycle is trivial on Gal(L/E), T_E is the standard
+        E-tree (see `in_subtree`): a level off E's value group is outside,
+        and a ramified pair with f(L/E) = 1 is the one distance test
+        dist(a, E) >= r of the center a and level r.  Neither holds for a
+        twisted pair, whose vertices need not sit on E's levels.
+
+        For the twisted ramified pairs, each entry of B^-1 is decomposed
+        over the mhat basis, and component s of the entries of one row is
+        one echelon row: an E-functional, and the E-rational part of the
+        order is where all of them are integral (SubfieldLattice shows why
+        no component needs scaling).  The rows' echelon over O_E is never
         built: `pivot_valuation_sum` eliminates on their integer vectors
         and gives n = [E : Q_p] times the sum of its pivot valuations, or
         None below full rank.
@@ -364,8 +418,9 @@ class VertexOrder:
             return False  # midpoints never carry an O_L-order
         if not all(map(self.fixed_by, fixing_generators(sub))):
             return False
-        if (level * E.e).denominator != 1:
-            return False  # level not in the subfield's value group
+        trivial = self.tree.cocycle.trivial_on(sub.span)
+        if trivial and (level * E.e).denominator != 1:
+            return False  # level not in the value group of E's own tree
         if E.e == L.e:
             return True  # L/E unramified (E = L included): v descends
         if E.f < L.f:
@@ -374,8 +429,10 @@ class VertexOrder:
             if wider is None:
                 raise InternalInvariant(f"no proper subfield E L_ur for {sub}")
             return self.in_subtree(wider)  # E'/E unramified: v descends
-        rows, scales = sublattice_machinery(sub).functionals(
-            self.lattice_inverse)
+        lattice = sublattice_machinery(sub)
+        if trivial:
+            return lattice.distance(self.v.center) >= level
+        rows, scales = lattice.functionals(self.lattice_inverse)
         total = pivot_valuation_sum(E, rows, scales)
         return (total is not None
                 and total == E.degree * self.triv.basis_valuation)

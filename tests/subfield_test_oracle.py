@@ -5,7 +5,10 @@ Copied from `twisted.py` with only its imports moved to the top.  For every
 (vertex, subfield) pair it rebuilds the vertex's order lattice B through
 `matrix_coords`, inverts it, tests twisted invariance under every element of
 the fixing group, and compares det(B) with the determinant of the dual of
-the E-rational sublattice, embedded back into the ambient field.
+the E-rational sublattice, embedded back into the ambient field.  It has no
+shortcut for a level off the subfield's value group, which the program
+takes only where the cocycle is trivial on Gal(L/E): the echelon decides
+every level.
 
 `decompose` (with `rational_image`) is the decomposition over the mhat
 basis as `SubfieldLattice.decompose` gave it, one element of E per
@@ -141,8 +144,6 @@ def subfield_vertex_test(tree, triv, v, sub) -> bool:
         return False
     if sub.field.degree == L.degree:
         return True  # E = L
-    if (v.level * sub.field.e).denominator != 1:
-        return False  # level not in the subfield's value group
     mach = machinery(sub)
     E = sub.field
     B = order_lattice_of_vertex(triv, v)

@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from bttwist.twisted import VertexOrder
+from bttwist.twisted import SubfieldLattice
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -93,13 +93,14 @@ def test_local_sweep_past_the_residue_pool():
 
 
 def test_table1_layers(monkeypatch, capsys):
-    before = VertexOrder.__dict__["lattice_inverse"]
+    before = SubfieldLattice.__dict__["distance"]
     assert _run(monkeypatch, "table1_layers", "--runs", "1") == 0
     layers = json.loads(capsys.readouterr().out)["layers"]
-    assert set(layers) == {"basis_valuation", "flood_fill", "lattice_inverse",
-                           "make_context", "table1"}
-    # six field products (one traceless 2x2 product) for each of the 21
-    # members the kernel asks about
-    assert layers["lattice_inverse"]["products_per_table1"] == 6 * 21
-    assert layers["basis_valuation"]["products_per_table1"] == 0
-    assert VertexOrder.__dict__["lattice_inverse"] is before  # restored
+    assert set(layers) == {"closed_form", "flood_fill", "make_context",
+                           "table1"}
+    # every ramified pair table1 asks is trivial on Gal(L/E): 65 distance
+    # tests, which take no field product, and no lattice inverse
+    assert layers["closed_form"]["calls_per_table1"] == 65
+    assert layers["closed_form"]["products_per_table1"] == 0
+    assert layers["table1"]["products_per_table1"] == 694
+    assert SubfieldLattice.__dict__["distance"] is before  # restored

@@ -6,10 +6,11 @@ Whatever order the masks are asked in, each answer must be whether
 `TwistedTree.apply` fixes the vertex: on windows with their edge midpoints,
 under the standard cocycles of every `count-local` case of the golden file
 and of `table1`.  One `table1` asks `TwistedTree.fixes`, the query
-`fixed_by` puts to the action, at most 94 times and runs the pivot kernel
-65 times: relative unramified descent decides the
-other 24 ramified pairs, those of the six ramified quadratics, from the
-quartic that adds sqrt -3.
+`fixed_by` puts to the action, at most 94 times.  Its cocycle is trivial on
+Gal(L/E) for every ramified pair it asks, so it never runs the pivot
+kernel: 65 pairs are decided by the distance test of the standard E-tree,
+and relative unramified descent decides the other 24, those of the six
+ramified quadratics, from the quartic that adds sqrt -3.
 """
 
 import contextlib
@@ -22,7 +23,7 @@ import pytest
 from bttwist import enumerate as counting
 from bttwist import twisted
 from bttwist.bttree import Vertex, Window
-from bttwist.twisted import TwistedTree, VertexOrder
+from bttwist.twisted import SubfieldLattice, TwistedTree, VertexOrder
 from test_branch_walk_diff import CASES  # the golden count-local cases
 
 
@@ -75,7 +76,7 @@ def test_fixed_by_on_the_table1_cocycle():
 def test_one_table1_asks_each_member_order_once(monkeypatch):
     # table1 asks the 26 orders that counted the branch: of 414 in_subtree
     # calls, 179 come from the memo, 24 are relative descents (asked from
-    # within `_decide`) and 65 reach the kernel
+    # within `_decide`) and 65 reach the distance test
     calls, nested, decided, built = [], [], [], []
     depth = [0]
     ask, decide, init = (VertexOrder.in_subtree, VertexOrder._decide,
@@ -108,15 +109,20 @@ def test_one_table1_asks_each_member_order_once(monkeypatch):
 
 
 def test_one_table1_within_its_action_and_kernel_counts(monkeypatch):
-    fixes, kernels = [], []
+    fixes, kernels, closed = [], [], []
     fix, kernel = TwistedTree.fixes, twisted.pivot_valuation_sum
+    distance = SubfieldLattice.distance
     monkeypatch.setattr(
         TwistedTree, "fixes",
         lambda self, s, v: fixes.append(s) or fix(self, s, v))
     monkeypatch.setattr(
         twisted, "pivot_valuation_sum",
         lambda *args: kernels.append(args[0]) or kernel(*args))
+    monkeypatch.setattr(
+        SubfieldLattice, "distance",
+        lambda self, x: closed.append(self.sub) or distance(self, x))
     with contextlib.redirect_stdout(io.StringIO()):
         counting.table1()
     assert 0 < len(fixes) <= 94
-    assert len(kernels) == 65
+    assert len(kernels) == 0
+    assert len(closed) == 65
