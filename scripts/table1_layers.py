@@ -12,8 +12,9 @@ counters add nothing to the times.  The layers:
 
 - `make_context`: the trivialization, the cocycle law and the
   irreducibility check;
-- `flood_fill`: the seed search and flood fill of the branch
-  (`enumerate.branch_walk`, or `branch_vertices` where there is no walk);
+- `flood_fill`: the seed search and flood fill of the branch,
+  `enumerate.branch_vertices` (or `branch_walk` in older trees, where
+  `branch_vertices` wraps it);
 - `closed_form`: `SubfieldLattice.distance`, the subfield test of the pairs
   whose cocycle is trivial on Gal(L/E), all of them together (absent from
   a tree without it).

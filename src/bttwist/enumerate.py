@@ -9,8 +9,7 @@ it is convex and connected: a breadth-first search with `branch_member`
 finds its nearest vertex, and a flood fill through members finds the rest.
 The neighbours of a vertex are the points of P^1 over the residue field (one
 up, one child per residue class), so the fill steps each member's images,
-conjugated into the vertex basis, to its neighbours without rebuilding them,
-and hands them on to the member's subfield test.
+conjugated into the vertex basis, to its neighbours without rebuilding them.
 """
 
 from __future__ import annotations
@@ -184,27 +183,19 @@ def nearest_member(images, center: Vertex):
 
 def branch_vertices(images, center: Vertex) -> list:
     """The branch of the images in breadth-first order from center: a
-    flood fill through members from the nearest one (`branch_walk`)."""
-    return [v for v, _ in branch_walk(images, center)]
+    flood fill through members from the nearest one.  Each vertex tested
+    counts against the vertex cap; passing it raises WindowInsufficient.
 
-
-def branch_walk(images, center: Vertex) -> list:
-    """The branch of the images in breadth-first order from center, each
-    member v with [conjugate_by_vertex(q, v) for q in images]: a flood fill
-    through members from the nearest one.  Each vertex tested counts
-    against the vertex cap; passing it raises WindowInsufficient.
-
-    A member B(a, r) keeps X = M^-1 q M = [[x11, x12], [x21, x22]] for each
-    image q, M = [[t, a], [0, 1]], and decides each neighbour from X with
-    one valuation per image.  The child B(a + c t, r + 1/e), basis
-    M [[pi, c], [0, 1]], has X' = [[x11 - c x21, y / pi], [pi x21, x22 +
-    c x21]] with y = x12 + c (x11 - x22 - c x21): a member iff
-    v(y) >= 1/e.  The residue representatives begin with 0 and 1 (an
+    The queue carries each member B(a, r) with X = M^-1 q M = [[x11, x12],
+    [x21, x22]] for each image q, M = [[t, a], [0, 1]], and decides each
+    neighbour from X with one valuation per image.  The child B(a + c t,
+    r + 1/e), basis M [[pi, c], [0, 1]], has X' = [[x11 - c x21, y / pi],
+    [pi x21, x22 + c x21]] with y = x12 + c (x11 - x22 - c x21): a member
+    iff v(y) >= 1/e.  The residue representatives begin with 0 and 1 (an
     invariant of `LocalField.residue_reps`), and at those two no product by
-    c is taken.  The up-neighbour
-    B(a, r - 1/e), basis M [[1/pi, 0], [0, 1]], has X' = [[x11, pi x12],
-    [x21 / pi, x22]]: a member iff v(x21) >= 1/e.  The vertex a member came
-    from is skipped by position."""
+    c is taken.  The up-neighbour B(a, r - 1/e), basis M [[1/pi, 0],
+    [0, 1]], has X' = [[x11, pi x12], [x21 / pi, x22]]: a member iff
+    v(x21) >= 1/e.  The vertex a member came from is skipped by position."""
     found = _search(images, center)
     if found is None:
         return []
@@ -216,7 +207,7 @@ def branch_walk(images, center: Vertex) -> list:
     queue = deque([(v, skip, [conjugate_by_vertex(m, v) for m in images])])
     while queue:
         v, skip, xs = queue.popleft()
-        members.append((v, xs))
+        members.append(v)
         tested += (f.q + 1) - (skip is not None)
         if tested > cap:
             raise WindowInsufficient(f"branch search exceeds vertex cap {cap}")
@@ -248,16 +239,11 @@ def branch_walk(images, center: Vertex) -> list:
 
 def member_orders(ctx: CountingContext) -> list:
     """A `VertexOrder` for each member of the branch of the group images,
-    found from the standard center by `branch_walk`.  Each order gets the
-    walk's conjugates of the trivialization's I and J wherever those are
-    group images, as they are for q8."""
+    found from the standard center by `branch_vertices`."""
     amb = ctx.ambient
     center_level = Fraction(-1, 2) if amb.e % 2 == 0 else Fraction(0)
-    slots = [next((k for k, m in enumerate(ctx.images) if m == b), None)
-             for b in ctx.triv.basis[1:3]]
-    return [VertexOrder(ctx.tree, ctx.triv, v,
-                        tuple(None if k is None else xs[k] for k in slots))
-            for v, xs in branch_walk(ctx.images,
+    return [VertexOrder(ctx.tree, ctx.triv, v)
+            for v in branch_vertices(ctx.images,
                                      Vertex(amb.zero, center_level))]
 
 

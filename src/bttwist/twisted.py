@@ -18,7 +18,6 @@ from .errors import CocycleLawViolated, InternalInvariant
 from .padic import (INFINITY, LocalField, Subfield, _reduced, parity,
                     val_min, xor_basis)
 from .bttree import BoundaryPoint, MoebiusMap, Vertex
-from .branch import conjugate_by_vertex
 from .linalg import inverse, pivot_valuation_sum
 
 
@@ -273,20 +272,12 @@ class VertexOrder:
     most once however many subfields it is asked about: which Galois
     elements fix the vertex under the twisted action, the inverse of its
     order lattice in quaternion coordinates, and its answer for each
-    subfield it was asked about, keyed by the subfield's span.
+    subfield it was asked about, keyed by the subfield's span."""
 
-    `conjugates` holds M^-1 I M and M^-1 J M, the trivialization's i- and
-    j-images in the vertex basis M as `conjugate_by_vertex` gives them,
-    where the caller already has them (the flood fill
-    `enumerate.branch_walk` steps each group image from member to member);
-    a None is conjugated on first use."""
-
-    def __init__(self, tree: TwistedTree, triv, v: Vertex,
-                 conjugates=(None, None)):
+    def __init__(self, tree: TwistedTree, triv, v: Vertex):
         self.tree = tree
         self.triv = triv
         self.v = v
-        self._conjugates = conjugates
         self._fixed = {0: True}
         self._stabilizer = [0]  # the masks known to fix v: a subgroup
         self._answers = {}  # span -> whether v is in that subfield's tree
@@ -315,24 +306,9 @@ class VertexOrder:
     @cached_property
     def lattice_inverse(self) -> list:
         """Rows of B^-1, where the columns of B are the quaternion
-        coordinates of End(Lambda_v).  B = T^-1 Ad(M) with T's columns the
-        trivialization basis (1, I, J, IJ) and M = [[a, t], [1, 0]], so
-        column j of B^-1 = Ad(M^-1) T is M^-1 b_j M: the closed form of
-        `conjugate_by_vertex`, whose basis [[t, a], [0, 1]] is M with its
-        columns swapped, read in reverse.  The columns are 1, X_I, X_J and
-        X_I X_J, as M^-1 I J M = (M^-1 I M)(M^-1 J M): one 2x2 product
-        beside the conjugates not already held.  I, J and IJ anticommute
-        in pairs, so each has trace 0, and so has its conjugate: the
-        product takes six field products."""
-        f, v = self.v.field, self.v
-        xi, xj = (conjugate_by_vertex(b, v) if x is None else x
-                  for x, b in zip(self._conjugates, self.triv.basis[1:3]))
-        a1, b1, c1, _ = xi
-        a2, b2, c2, _ = xj
-        k11 = a1 * a2 + b1 * c2
-        xk = (k11, a1 * b2 - b1 * a2, c1 * a2 - a1 * c2, -k11)
-        xs = ((f.one, f.zero, f.zero, f.one), xi, xj, xk)
-        return [[x[k] for x in xs] for k in (3, 2, 1, 0)]
+        coordinates of End(Lambda_v) that `order_lattice_of_vertex` gives.
+        Only the twisted ramified pairs ask for it."""
+        return inverse(list(zip(*order_lattice_of_vertex(self.triv, self.v))))
 
     def in_subtree(self, sub: Subfield) -> bool:
         """Is the vertex a vertex of the twisted subtree of the subfield?

@@ -10,7 +10,9 @@ and of `table1`.  One `table1` asks `TwistedTree.fixes`, the query
 Gal(L/E) for every ramified pair it asks, so it never runs the pivot
 kernel: 65 pairs are decided by the distance test of the standard E-tree,
 and relative unramified descent decides the other 24, those of the six
-ramified quadratics, from the quartic that adds sqrt -3.
+ramified quadratics, from the quartic that adds sqrt -3.  Neither `table1`
+nor the golden `count-local` cases builds an order lattice
+(`order_lattice_of_vertex`) or runs the kernel at all.
 """
 
 import contextlib
@@ -108,21 +110,41 @@ def test_one_table1_asks_each_member_order_once(monkeypatch):
     assert len(built) == 26
 
 
+def _count_kernel_traffic(monkeypatch) -> dict:
+    """Count the calls of the pivot kernel and of the order lattice it is
+    fed from, by the name `twisted` calls each by."""
+    calls = {"pivot_valuation_sum": [], "order_lattice_of_vertex": []}
+    for name, record in calls.items():
+        fn = getattr(twisted, name)
+        monkeypatch.setattr(
+            twisted, name,
+            lambda *args, fn=fn, record=record: record.append(1) or fn(*args))
+    return calls
+
+
 def test_one_table1_within_its_action_and_kernel_counts(monkeypatch):
-    fixes, kernels, closed = [], [], []
-    fix, kernel = TwistedTree.fixes, twisted.pivot_valuation_sum
-    distance = SubfieldLattice.distance
+    fixes, closed = [], []
+    fix, distance = TwistedTree.fixes, SubfieldLattice.distance
     monkeypatch.setattr(
         TwistedTree, "fixes",
         lambda self, s, v: fixes.append(s) or fix(self, s, v))
     monkeypatch.setattr(
-        twisted, "pivot_valuation_sum",
-        lambda *args: kernels.append(args[0]) or kernel(*args))
-    monkeypatch.setattr(
         SubfieldLattice, "distance",
         lambda self, x: closed.append(self.sub) or distance(self, x))
+    kernel = _count_kernel_traffic(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         counting.table1()
     assert 0 < len(fixes) <= 94
-    assert len(kernels) == 0
+    assert {k: len(v) for k, v in kernel.items()} == \
+        {"pivot_valuation_sum": 0, "order_lattice_of_vertex": 0}
     assert len(closed) == 65
+
+
+def test_golden_count_local_cases_never_reach_the_kernel(monkeypatch):
+    # every golden count-local pair is untwisted or decided by descent, so
+    # no order lattice is built and no echelon runs
+    kernel = _count_kernel_traffic(monkeypatch)
+    for group, (p, args) in CASES:
+        counting.count_local(group, p, args)
+    assert {k: len(v) for k, v in kernel.items()} == \
+        {"pivot_valuation_sum": 0, "order_lattice_of_vertex": 0}

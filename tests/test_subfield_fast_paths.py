@@ -8,9 +8,10 @@
   the cocycle's `moving` set; the oracle is `apply_vertex` of the
   cocycle's map, on windows with their midpoints, under the cocycles of
   every `count-local` case of the golden file and of `table1`.
-- `VertexOrder.lattice_inverse` is written out in closed form; the oracle is
-  M^-1 b M as matrix products, on vertices at negative, zero and positive
-  levels around centers off the origin.
+- `VertexOrder.lattice_inverse` inverts the order lattice
+  B = T^-1 Ad(M) that `order_lattice_of_vertex` gives; the oracle is
+  B^-1 = Ad(M^-1) T, column j = M^-1 b_j M as matrix products, on vertices
+  at negative, zero and positive levels around centers off the origin.
 
 Each comparison is exact: equal elements have equal numerators and
 denominators, and the vertices must agree in center and level, not only as
@@ -112,7 +113,7 @@ def test_apply_matches_apply_vertex_on_the_table1_cocycle():
     assert _apply_mismatches(ctx, vertices) == []
 
 
-# -- the closed-form lattice inverse ---------------------------------------
+# -- the lattice inverse ---------------------------------------------------
 
 
 def lattice_inverse_by_products(triv, v):

@@ -1,7 +1,7 @@
 """`VertexOrder` against the per-pair subfield test it replaced.
 
-The new test computes each vertex's order once: the lattice inverse in
-closed form, the order's volume once per trivialization, the dual volume
+The new test computes each vertex's order once: the lattice inverse at
+most once, the order's volume once per trivialization, the dual volume
 from the echelon pivots, and invariance from generators of the fixing
 group.  It decides unramified pairs by descent and skips the subfields of a
 subfield the vertex was found outside.  On every (vertex, subfield) pair it
@@ -173,7 +173,7 @@ def test_branch_members_of_count_local_cases(group, field):
                                         ("maxorder", (-3, 2)),
                                         ("dicyclic", (-6,))])
 def test_closed_form_lattice_inverse_and_constant_volume(group, args):
-    # B^-1 in closed form is the inverse of the pulled-back order, and
+    # B^-1 is the inverse of the pulled-back order, and
     # v(det B) = -v(det T) at every level
     ctx = counting.make_context(group, 2, args)
     amb = ctx.ambient
