@@ -14,9 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (InternalInvariant, NeedsExtension, NotAUnit,
-                     NotSquareFree, SplitPrime)
-from .padic import (INFINITY, FieldElement, LocalField, element_sqrt,
-                    make_field, squarefree_part)
+                     NotInField, NotSquareFree, SplitPrime)
+from .padic import (INFINITY, FieldElement, LocalField, make_field,
+                    squarefree_part)
 from .bttree import (
     EMPTY, WHOLE, BoundaryPoint, ConvexSubtree, Horoball, MoebiusMap, Tube,
     Vertex,
@@ -48,21 +48,6 @@ class QuadClass:
         return {"scalar": "Scalar", "nonetale": "NonEtale"}[self.kind]
 
 
-def try_sqrt(field: LocalField, x: FieldElement):
-    """A model element whose square is x, when one is expressible.
-
-    Note x may be a square in the local field without the model containing
-    a square root (e.g. 17 over the plain dyadic model); those come back
-    None and force the caller to a splitting extension.
-    """
-    if x.is_rational():
-        try:
-            return field.sqrt_of(x.rational_value())
-        except ValueError:
-            return None
-    return element_sqrt(x)
-
-
 def classify(q: MoebiusMap, field: LocalField) -> QuadClass:
     if q.is_scalar():
         return QuadClass("scalar")
@@ -72,11 +57,11 @@ def classify(q: MoebiusMap, field: LocalField) -> QuadClass:
         return QuadClass("nonetale")
     defect = field.quadratic_defect(disc)
     if defect is INFINITY:
-        s = try_sqrt(field, disc)
-        if s is None:
+        try:  # a local square need not have a root in the model
+            s = field.sqrt_of(disc)
+        except NotInField:
             raise NeedsExtension(
-                "discriminant is a local square with no model square root"
-            )
+                "discriminant is a local square with no model square root")
         lam1 = (t + s) / 2
         lam2 = (t - s) / 2
         return QuadClass("etale_split", eigenvalues=(lam1, lam2))

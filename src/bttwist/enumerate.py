@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import (FieldTooSmall, InternalInvariant,
-                     NotAbsolutelyIrreducible, NotSquareFree, SplitPrime,
-                     WindowInsufficient)
+                     NotAbsolutelyIrreducible, NotInField, NotSquareFree,
+                     SplitPrime, WindowInsufficient)
 from .padic import LocalField, make_field, quad_ext_type
 from .bttree import MoebiusMap, Vertex, neighbors, vertex_cap
 from .branch import branch_member, conjugate_by_vertex
@@ -107,26 +107,25 @@ _TRIV_EXTENSIONS = [-3, -1, 2, -2, 3, 6, -6]
 
 
 def _ambient_for(alg: QuaternionAlgebra, p: int, e_args: tuple):
-    """A model containing E and admitting a trivialization of the algebra."""
+    """A model containing E and admitting a trivialization of the algebra:
+    E itself, else E with one of `_TRIV_EXTENSIONS` adjoined.  A candidate
+    fails when the extra root is already in E or splits at p, or when the
+    model holds no trivialization; FieldTooSmall then names each candidate
+    and why it failed."""
     make_field(p, e_args)  # a bad base field raises its own error
-    candidates = [tuple(e_args)]
-    for extra in _TRIV_EXTENSIONS:
-        candidates.append(tuple(e_args) + (extra,))
-    last_err = None
-    for args in candidates:
+    failures = []
+    for extra in [()] + [(d,) for d in _TRIV_EXTENSIONS]:
+        args = tuple(e_args) + extra
         try:
             amb = make_field(p, args)
-        except (NotSquareFree, SplitPrime) as exc:  # extra in E or split at p
-            last_err = exc
-            continue
-        try:
             if alg == HAMILTON and p == 2:
                 return amb, q8_trivialization(amb)
             return amb, find_trivialization(alg, amb)
-        except (FieldTooSmall, ValueError) as exc:
-            last_err = exc
+        except (NotSquareFree, SplitPrime, FieldTooSmall, NotInField) as exc:
+            failures.append(f"{args} {type(exc).__name__}: {exc}")
     raise FieldTooSmall(
-        f"no trivialization of {alg} over extensions of Q_{p}{e_args}: {last_err}")
+        f"no trivialization of {alg} over extensions of Q_{p}{e_args}; "
+        + "; ".join(failures))
 
 
 def make_context(group: str, p: int, e_args: tuple,

@@ -22,6 +22,10 @@ class NotSquareFree(BttwistError):
     pass
 
 
+class NotInField(BttwistError, ValueError):
+    """The model holds no such element (a square root it does not contain)."""
+
+
 class ZeroInput(BttwistError):
     pass
 

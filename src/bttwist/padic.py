@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import (DivisionByZero, InternalInvariant, NotPrime,
+from .errors import (DivisionByZero, InternalInvariant, NotInField, NotPrime,
                      NotSquareFree, NumberTooLarge, SplitPrime, ZeroInput)
 
 
@@ -314,11 +314,21 @@ class LocalField:
     def sqrt_gen(self, i: int) -> "FieldElement":
         return self.monomial(1 << i)
 
-    def sqrt_of(self, n) -> "FieldElement":
-        """sqrt of a rational, if the model contains it: c * m for the
-        monomial m whose square class is n's, so that n / m^2 is a rational
-        square (no factoring, so a large n costs no more than a small one)."""
-        n = Fraction(n)
+    def sqrt_of(self, x) -> "FieldElement":
+        """A square root in the model of x, a rational or an element; raises
+        NotInField if the model holds none (x may still be a local square,
+        as 17 is in Q_2).  A rational root is c * m for the monomial m whose
+        square class is x's, so that x / m^2 is a rational square (no
+        factoring, so a large x costs no more than a small one); any other
+        element goes down the quadratic tower (`_element_sqrt`)."""
+        if isinstance(x, FieldElement):
+            if not x.is_rational():
+                root = _element_sqrt(x)
+                if root is None:
+                    raise NotInField(f"sqrt({x}) not in {self}")
+                return root
+            x = x.rational_value()
+        n = Fraction(x)
         if n == 0:
             raise ZeroInput("0 has no squarefree part")
         for mask in range(self.degree):
@@ -326,7 +336,7 @@ class LocalField:
             root = rational_sqrt(n / md)
             if root is not None:
                 return self.monomial(mask, root / mt)
-        raise ValueError(f"sqrt({n}) not in {self}")
+        raise NotInField(f"sqrt({n}) not in {self}")
 
     # -- arithmetic kernels -----------------------------------------------
 
@@ -533,7 +543,7 @@ class LocalField:
         4aO bound).
         """
         if a.field is not self:
-            raise ValueError("element of a different field")
+            raise InternalInvariant(f"mixed fields: {self} and {a.field}")
         if a.is_zero():
             raise ZeroInput("defect of 0")
         v = a.valuation()
@@ -613,7 +623,7 @@ class LocalField:
         for d in sqrt_args:
             mask = self.mask_of(squarefree_part(int(d))[0])
             if not mask:
-                raise ValueError(f"sqrt({d}) not in {self}")
+                raise NotInField(f"sqrt({d}) not in {self}")
             want = want | {x ^ mask for x in want}
         want = frozenset(want)
         if len(want) == self.degree:
@@ -828,8 +838,9 @@ def _reduced(field: LocalField, num: tuple, den: int) -> FieldElement:
     return _element(field, num, den)
 
 
-def element_sqrt(x: FieldElement):
-    """A model square root of x, or None if no global one exists.
+def _element_sqrt(x: FieldElement):
+    """A model square root of x, or None if no global one exists; the
+    recursion behind `LocalField.sqrt_of` for elements that are not rational.
 
     Recursive over the quadratic tower: writing x = a + b*sqrt(d) over the
     subtower without the last generator, a root u + v*sqrt(d) requires
@@ -858,20 +869,20 @@ def element_sqrt(x: FieldElement):
         return _element(f, pad + y.num if times_root else y.num + pad, y.den)
 
     if b.is_zero():
-        u = element_sqrt(a)
+        u = _element_sqrt(a)
         if u is not None:
             return lift(u)
-        w = element_sqrt(a / sub.from_rational(d))
+        w = _element_sqrt(a / sub.from_rational(d))
         if w is not None:
             return lift(w, times_root=True)
         return None
     norm = a * a - sub.from_rational(d) * b * b
-    s = element_sqrt(norm)
+    s = _element_sqrt(norm)
     if s is None:
         return None
     for sign in (1, -1):
         u2 = (a + sign * s) / 2
-        u = element_sqrt(u2)
+        u = _element_sqrt(u2)
         if u is not None and not u.is_zero():
             v = b / (2 * u)
             cand = lift(u) + lift(v, times_root=True)

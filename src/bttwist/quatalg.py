@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (DivisionByZero, FieldTooSmall, InternalInvariant,
-                     ZeroInput)
+                     NotInField, ZeroInput)
 from .padic import (FieldElement, LocalField, rational_sqrt,
                     squarefree_part, vp_frac)
 from .bttree import MoebiusMap
@@ -240,7 +240,7 @@ def _flip_mask(field: LocalField, d: int) -> int:
     occurring in its monomial (0, the identity, for d = 1)."""
     m = field.mask_of(d)
     if m is None:
-        raise ValueError(f"sqrt({d}) not in {field}")
+        raise NotInField(f"sqrt({d}) not in {field}")
     return m & -m
 
 
@@ -311,7 +311,7 @@ def find_trivialization(alg: QuaternionAlgebra,
         d_b = squarefree_part(b.numerator * b.denominator)[0]
         if d_b != 1:
             return standard_trivialization(alg, field, d_b, root_b, field.zero)
-    except ValueError:
+    except NotInField:
         pass
     for d in ds:
         root = field.sqrt_of(d)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .errors import CocycleLawViolated, InternalInvariant
+from .errors import CocycleLawViolated, InternalInvariant, NotInField
 from .padic import (INFINITY, LocalField, Subfield, _reduced, parity,
                     val_min, xor_basis)
 from .bttree import BoundaryPoint, MoebiusMap, Vertex
@@ -43,7 +43,7 @@ class Cocycle:
     def __init__(self, field: LocalField, flip_d: int, witness: MoebiusMap):
         mask = field.mask_of(flip_d)
         if mask is None:
-            raise ValueError(f"sqrt({flip_d}) not in {field}")
+            raise NotInField(f"sqrt({flip_d}) not in {field}")
         self.field = field
         self.flip_mask = mask
         self.witness = witness

@@ -12,8 +12,7 @@ from bttwist import branch
 from bttwist.branch import (branch_closed_form, branch_member,
                             branch_with_extension, can_extend, classify,
                             lift_element, lift_vertex,
-                            sample_integral_matrix, try_sqrt,
-                            unit_fixed_points)
+                            sample_integral_matrix, unit_fixed_points)
 from bttwist.enumerate import branch_vertices
 from convex_oracle import branch_of_family, line
 
@@ -32,7 +31,7 @@ class TestClassify:
         assert c.kind == "etale_split"
         assert sorted(lam.key() for lam in c.eigenvalues) == sorted(
             [y.key(), f.zero.key()])
-        assert try_sqrt(f, f.from_rational(n * n)) == n
+        assert f.sqrt_of(f.from_rational(n * n)) == n
 
     def test_split_diagonal(self):
         f = make_field(2, (-3,))

@@ -201,6 +201,27 @@ class TestStructuralProperties:
             counting.IFReport(rep.group, rep.subfield_args, rep.ambient_args,
                               rep.e, rep.f, rep.count + 1, rep.vertices)
 
+    @pytest.mark.parametrize("p,e_args,failures", [
+        # q8 at p = 2 needs sqrt(-3); -3 * 5 is a square class that splits
+        (2, (5,), ["NotInField", "SplitPrime"] + ["NotInField"] * 6),
+        # the grid finds no solution; -1 and -2 split at 3, 2 is in E
+        (3, (2,), ["FieldTooSmall"] * 2 + ["SplitPrime", "NotSquareFree",
+                                           "SplitPrime"]
+         + ["FieldTooSmall"] * 3),
+    ])
+    def test_field_too_small_names_every_ambient_tried(self, p, e_args,
+                                                      failures):
+        # regression: the message named only the last candidate's error
+        with pytest.raises(FieldTooSmall) as info:
+            counting.count_local("q8", p, e_args)
+        head, *tried = str(info.value).split("; ")
+        assert head == ("no trivialization of (-1,-1) over extensions of "
+                        f"Q_{p}{e_args}")
+        candidates = [e_args] + [e_args + (d,)
+                                 for d in counting._TRIV_EXTENSIONS]
+        assert [t.split(":")[0] for t in tried] == [
+            f"{args} {error}" for args, error in zip(candidates, failures)]
+
     def test_no_small_unramified_unit_is_field_too_small(self):
         # -3, -1, 2, 3, 5, 6, 7 and their negatives are all squares mod 1009
         with pytest.raises(FieldTooSmall):

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_kernel as oracle
-from bttwist.padic import FieldElement, element_sqrt, make_field
+from bttwist.errors import NotInField
+from bttwist.padic import FieldElement, _element_sqrt, make_field
 
 FIELDS = [(2, ()), (2, (-3,)), (2, (-3, 2)), (2, (-1, -3, 2)),
           (3, ()), (3, (2,)), (3, (-1, 3)), (5, (2, 5))]
@@ -150,15 +151,40 @@ def test_quadratic_defect_agrees(data):
     assert new.quadratic_defect(sq) == old.quadratic_defect(osq)
 
 
+def _sqrt_or_none(field, x):
+    try:
+        return field.sqrt_of(x)
+    except NotInField:
+        return None
+
+
 @settings(max_examples=40, deadline=None)
 @given(field_elements(1))
 def test_element_sqrt_agrees(data):
+    # `sqrt_of` on elements against the oracle's tower recursion
     new, old, (u,) = data
     x, ox = new.el(u), old.el(u)
-    assert same(element_sqrt(x), oracle.element_sqrt(ox))
-    root = element_sqrt(x * x)
+    if ox.is_zero():
+        return
+    assert same(_sqrt_or_none(new, x), oracle.element_sqrt(ox))
+    root = new.sqrt_of(x * x)
     assert same(root, oracle.element_sqrt(ox * ox))
-    assert root is not None and root * root == x * x
+    assert root * root == x * x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 7), coords,
+       st.sampled_from([1, 1, -1, 2, 3, 5, 17]))
+def test_rational_sqrt_of_is_the_tower_recursion(fld, mask, c, extra):
+    # `sqrt_of` takes a rational, or a rational element, by its monomial
+    # loop; the tower recursion must give the same root, sign included
+    f = make_field(*fld)
+    if not c:
+        return
+    n = c * c * f.span_class[mask % f.degree][0] * extra
+    root = _element_sqrt(f.from_rational(n))
+    assert same(_sqrt_or_none(f, n), root)
+    assert same(_sqrt_or_none(f, f.from_rational(n)), root)
 
 
 @SETTINGS

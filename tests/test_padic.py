@@ -5,12 +5,12 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bttwist.errors import (InternalInvariant, NotSquareFree, NumberTooLarge,
-                            SplitPrime, ZeroInput)
+from bttwist.errors import (InternalInvariant, NotInField, NotSquareFree,
+                            NumberTooLarge, SplitPrime, ZeroInput)
 from bttwist.padic import (INFINITY, SQUAREFREE_TRIAL_LIMIT, FieldElement,
                            LocalField, _PRIME_TEST_LIMIT, _int_sqrt,
-                           _is_prime, element_sqrt, make_field, parity,
-                           quad_ext_type, squarefree_part)
+                           _is_prime, make_field, parity, quad_ext_type,
+                           squarefree_part)
 
 import squarefree_oracle
 
@@ -193,6 +193,13 @@ def test_defect_examples():
         Q2.quadratic_defect(Q2.zero)
 
 
+def test_defect_of_a_foreign_element_is_internal_invariant():
+    # a programming error, as mixed fields are in arithmetic; not the
+    # ValueError that reads as "not in this field"
+    with pytest.raises(InternalInvariant):
+        OMEGA.quadratic_defect(Q2.from_rational(5))
+
+
 def test_defect_odd_p():
     q3 = make_field(3, ())
     assert q3.quadratic_defect(q3.from_rational(3)) == 1
@@ -258,9 +265,10 @@ def test_element_sqrt_roundtrip():
                   for _ in range(4)])
         if y.is_zero():
             continue
-        s = element_sqrt(y * y)
-        assert s is not None and s * s == y * y
-    assert element_sqrt(Q2.from_rational(17)) is None
+        s = f.sqrt_of(y * y)
+        assert s * s == y * y
+    with pytest.raises(NotInField):
+        Q2.sqrt_of(Q2.from_rational(17))  # a local square, not in the model
 
 
 def test_squarefree_part():
@@ -322,14 +330,14 @@ def test_element_sqrt_of_large_square():
     n = 3 ** 40 + 7
     f = make_field(2, (-1,))
     y = f.from_rational(n) + f.sqrt_gen(0) * (n + 2)
-    root = element_sqrt(y * y)
-    assert root is not None and root * root == y * y
-    assert element_sqrt(Q2.from_rational(Fraction(n * n, 4))) == Fraction(n, 2)
+    root = f.sqrt_of(y * y)
+    assert root * root == y * y
+    assert Q2.sqrt_of(Q2.from_rational(Fraction(n * n, 4))) == Fraction(n, 2)
     # the rational path: trial division cannot finish factoring n^2, whose
     # largest prime factor is 495384762097
     assert f.sqrt_of(n * n) == n
     assert f.sqrt_of(-n * n) == f.sqrt_gen(0) * n
-    with pytest.raises(ValueError):
+    with pytest.raises(NotInField):
         f.sqrt_of(2 * n * n)
     with pytest.raises(ZeroInput):
         f.sqrt_of(0)

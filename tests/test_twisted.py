@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bttwist.errors import CocycleLawViolated, InternalInvariant
+from bttwist.errors import CocycleLawViolated, InternalInvariant, NotInField
 from bttwist.linalg import det, inverse
 from bttwist import enumerate as counting
 from bttwist import twisted
@@ -77,7 +77,7 @@ class TestCocycles:
         scalar = MoebiusMap.from_rows(OMEGA, [[3, 0], [0, 3]])
         assert Cocycle(OMEGA, -3, scalar).moving == frozenset()
         assert trivial_cocycle(OMEGA).moving == frozenset()
-        with pytest.raises(ValueError):
+        with pytest.raises(NotInField):
             Cocycle(F_UNRAM, -1, g.I)  # sqrt(-1) is not in Q_2(sqrt -3)
 
     @pytest.mark.parametrize("entries,pair", [

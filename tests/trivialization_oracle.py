@@ -8,7 +8,7 @@ tests the whole 52 x 52 grid of x1, y1 in `small`, row by row."""
 
 from fractions import Fraction
 
-from bttwist.errors import FieldTooSmall
+from bttwist.errors import FieldTooSmall, NotInField
 from bttwist.padic import squarefree_part
 from bttwist.quatalg import standard_trivialization
 
@@ -28,7 +28,7 @@ def find_trivialization(alg, field):
                               Fraction(alg.b).denominator)[0]
         if d_b != 1:
             return standard_trivialization(alg, field, d_b, root_b, field.zero)
-    except ValueError:
+    except NotInField:
         pass
     shapes = []
     for d in ds:
