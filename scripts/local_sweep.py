@@ -5,14 +5,15 @@
                                    [--primes 2,3,5,...,59]
 
 For each group, prime p and argument set (), (-1), (2), (-2), (-3), (p) and
-(-1, p), the sweep runs `count_local` in process and sorts the case by its
-outcome: "answer", or the name of the exception it raised.  An answer at odd
-p is checked against counts known without the tree (I. Reiner, *Maximal
-Orders*, §41): q8 counts 1; maxorder counts e + 1 over an E != Q_p that
-contains the unramified quadratic, 1 over any other E != Q_p, and 0 over
-Q_p.  It prints the number of cases of each outcome and exits 1 if a case
-ends in InternalInvariant or an untyped exception, breaks an oracle, or
-raises FieldTooSmall outside KNOWN_FIELD_TOO_SMALL.
+(-1, p) (six sets at p = 2, where (p) is (2)), the sweep runs `count_local`
+in process and sorts the case by its outcome: "answer", or the name of the
+exception it raised.  An answer at odd p is checked against counts known
+without the tree (I. Reiner, *Maximal Orders*, §41): q8 counts 1; maxorder
+counts e + 1 over an E != Q_p that contains the unramified quadratic, 1
+over any other E != Q_p, and 0 over Q_p.  It prints the number of cases of
+each outcome and exits 1 if a case ends in InternalInvariant or an untyped
+exception, breaks an oracle, or raises FieldTooSmall outside
+KNOWN_FIELD_TOO_SMALL.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ KNOWN_FIELD_TOO_SMALL = {
 
 
 def arg_sets(p: int) -> tuple:
-    return ((), (-1,), (2,), (-2,), (-3,), (p,), (-1, p))
+    """The argument sets at p, each once: (p) is (2) at p = 2."""
+    sets = ((), (-1,), (2,), (-2,), (-3,), (p,), (-1, p))
+    return tuple(dict.fromkeys(sets))
 
 
 def field_name(p: int, args: tuple) -> str:

@@ -3,9 +3,9 @@
 
     python3 scripts/record_local_sweep.py [--out tests/local_sweep_golden.json]
 
-Each of the 476 inputs of `scripts/local_sweep.py` (4 groups, the 17
-primes below 60, 7 argument sets; 472 distinct, since (2) and (p) coincide
-at p = 2) runs in process through `cli.main` in its CLI form,
+Each of the 472 inputs of `scripts/local_sweep.py` (4 groups, the 17
+primes below 60, 7 argument sets at odd p and 6 at p = 2, where (2) and (p)
+coincide) runs in process through `cli.main` in its CLI form,
 `count-local --group G --field p:d1,...`.  The file maps that
 argv to the exit code, the stdout, and the type and message of the JSON
 error on stderr.  `tests/test_local_sweep_golden.py` replays it; a change

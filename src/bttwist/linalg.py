@@ -88,22 +88,22 @@ def pivot_valuation_sum(field, rows, scales):
     over a positive integer scale.  The elimination is fraction free
     (E. H. Bareiss, Math. Comp. 22, 1968).  A row is kept as integer
     vectors and an offset, n v of its scale, so an entry's valuation in
-    units of 1/n is vp(N(entry)) - offset, N the integer norm down the
-    tower.  In each column the entry of least valuation pivots, and a row
+    units of 1/n is vp(N(entry)) - offset, N the integer norm of the
+    field.  In each column the entry of least valuation pivots, and a row
     becomes P row - row[col] pivot row: the unimodular step of the echelon
     times the pivot P, so its offset grows by n v(P).  A row's p-power
     content is divided out, its offset lowered to match, and a zero row
     is dropped.  The sum is the lattice's volume, whichever entry wins a
     tie."""
     p, n = field.p, field.degree
-    fmul, norm = field._mul, field._tower_norm
+    fmul, norm = field._mul, field._norm
     live = []
     for row, scale in zip(rows, scales):
         _keep(live, list(row), n * vp_int(scale, p), p, n)
     width = len(rows[0]) if rows else 0
     total = 0
     for col in range(width):
-        vals = [(vp_int(norm(row[0], False)[0], p) - off, k)
+        vals = [(vp_int(norm(row[0]), p) - off, k)
                 for k, (row, off) in enumerate(live) if any(row[0])]
         if not vals:
             return None

@@ -4,7 +4,7 @@ A field is Q(sqrt(d_1), ..., sqrt(d_k)) viewed inside Q_p, constrained so
 that p has a unique prime above it in the global model.  All arithmetic is
 then exact (integer coordinates in the square-root monomial basis over one
 common denominator) and the p-adic valuation, normalized by nu(p) = 1,
-comes from the absolute norm, taken down the quadratic tower.
+comes from the absolute norm, written out over the quadratic tower.
 Residue representatives, uniformizers, quadratic defects and the subfield
 lattice live here; everything downstream consumes them.
 """
@@ -205,6 +205,64 @@ def make_field(p: int, sqrt_args) -> "LocalField":
     return _FIELD_CACHE[key]
 
 
+def _norm_kernels(sqrt_args: tuple, mul):
+    """The integer norm of a model on the generators sqrt_args, written out
+    over the quadratic tower: `norm(x)` is N(x) and `norm_adjugate(x)` is
+    (N(x), y) with x * y = N(x), for x an integer vector of the whole model;
+    mul is the model's `_mul`, for the products in its subfields.
+
+    With x = A + B sqrt(d) over the subfield below the top generator d,
+    x sigma(x) = A^2 - d B^2 lies in that subfield, so N(x) = N(A^2 - d B^2)
+    and y = (A - B sqrt(d)) y', y' the adjugate of A^2 - d B^2 there.
+    `squaresN` writes out A^2 - d B^2 for x of length N = 8, 4 and 2.  Q_p
+    has at most 8 square classes, so a model with one prime above p has at
+    most three generators; more raise InternalInvariant."""
+    k = len(sqrt_args)
+    if k > 3:
+        raise InternalInvariant(
+            f"no closed-form norm for {k} generators: Q_p has at most 8 "
+            f"square classes, so no model has degree {1 << k}")
+    d0, d1, d2 = (sqrt_args + (0, 0, 0))[:3]
+
+    def squares2(x):
+        a, b = x
+        return (a * a - d0 * b * b,)
+
+    def squares4(x):
+        a0, a1, b0, b1 = x
+        return (a0 * a0 + d0 * a1 * a1 - d1 * (b0 * b0 + d0 * b1 * b1),
+                2 * (a0 * a1 - d1 * b0 * b1))
+
+    def squares8(x):
+        a0, a1, a2, a3, b0, b1, b2, b3 = x
+        return (a0 * a0 + d0 * a1 * a1 + d1 * (a2 * a2 + d0 * a3 * a3)
+                - d2 * (b0 * b0 + d0 * b1 * b1
+                        + d1 * (b2 * b2 + d0 * b3 * b3)),
+                2 * (a0 * a1 + d1 * a2 * a3 - d2 * (b0 * b1 + d1 * b2 * b3)),
+                2 * (a0 * a2 + d0 * a1 * a3 - d2 * (b0 * b2 + d0 * b1 * b3)),
+                2 * (a0 * a3 + a1 * a2 - d2 * (b0 * b3 + b1 * b2)))
+
+    norm = (lambda x: x[0],
+            lambda x: squares2(x)[0],
+            lambda x: squares2(squares4(x))[0],
+            lambda x: squares2(squares4(squares8(x)))[0])[k]
+
+    def rational(x):
+        return x[0], (1,)
+
+    def climb(squares, below):
+        def step(x):
+            n, z = below(squares(x))
+            h = len(z)
+            return n, mul(x[:h], z) + tuple([-c for c in mul(x[h:], z)])
+        return step
+
+    norm_adjugate = rational
+    for squares in (squares2, squares4, squares8)[:k]:
+        norm_adjugate = climb(squares, norm_adjugate)
+    return norm, norm_adjugate
+
+
 class LocalField:
     """Multiquadratic model with a unique prime above p.
 
@@ -213,6 +271,11 @@ class LocalField:
     generators.  Generator i < j lives below generator j in the quadratic
     tower, so the first 2^j masks are the monomials of the subfield on the
     first j generators and every kernel below works on such a prefix.
+    Q_p has at most 8 square classes, so k <= 3: a fourth generator at
+    p = 2, or a third at odd p, raises SplitPrime or NotSquareFree.  Each
+    model keeps its integer norm and adjugate in closed form
+    (`_norm_kernels`), and valuations, congruences, inverses and the pivots
+    of `linalg` take them from there.
     """
 
     def __init__(self, p: int, sqrt_args: tuple):
@@ -273,6 +336,8 @@ class LocalField:
             tuple(bool(parity(s & mask)) for s in range(self.degree))
             for mask in range(self.degree)
         )
+        self._norm, self._norm_adjugate = _norm_kernels(self.sqrt_args,
+                                                        self._mul)
         self._zero_tail = (0,) * (self.degree - 1)
         self.zero = _element(self, (0,) * self.degree, 1)
         self.one = _element(self, (1,) + self._zero_tail, 1)
@@ -373,34 +438,6 @@ class LocalField:
                 out[s ^ t] += ca * cb * row[t]
         return tuple(out)
 
-    def _tower_norm(self, num, climb: bool):
-        """Integer norm N of the integer vector num, taken down the tower.
-
-        At each stage x * sigma(x), sigma flipping the top generator, lies
-        in the half-degree subfield.  With climb=True also returns the
-        integer vector y with num * y = N, assembled back up the tower from
-        the conjugates; otherwise y is None."""
-        n = self.degree
-        x = num
-        conjugates = []
-        while n > 1:
-            h = n >> 1
-            sx = x[:h] + tuple([-c for c in x[h:]])
-            prod = self._mul(x, sx)
-            if any(prod[h:]):
-                raise InternalInvariant(
-                    f"tower norm left the subfield of {self}")
-            if climb:
-                conjugates.append(sx)
-            x = prod[:h]
-            n = h
-        if not climb:
-            return x[0], None
-        y = (1,)
-        for sx in reversed(conjugates):
-            y = self._mul(sx, y + (0,) * (len(sx) - len(y)))
-        return x[0], y
-
     def _val_of_norm(self, norm: int, den: int) -> Fraction:
         """nu(num / den) from the integer norm of num."""
         p = self.p
@@ -421,24 +458,26 @@ class LocalField:
     def congruent(self, x: "FieldElement", y: "FieldElement", r: Fraction,
                   k: int = 0) -> bool:
         """Is nu(x - y) >= r + k / degree?  Decided in integers from the
-        tower norm of the difference over x.den * y.den, left unreduced."""
+        closed-form integer norm of the difference over x.den * y.den, left
+        unreduced."""
         if x.field is not self or y.field is not self:
             raise InternalInvariant(f"mixed fields: {x.field} and {y.field}")
         dx, dy, n, p = x.den, y.den, self.degree, self.p
         num = tuple([a * dy - b * dx for a, b in zip(x.num, y.num)])
         if not any(num):
             return True
-        norm, _ = self._tower_norm(num, False)
+        norm = self._norm(num)
         k += n * vp_int(dx * dy, p) - (-r.numerator * n // r.denominator)
         return k <= 0 or norm % p ** k == 0
 
     def valuation(self, x: "FieldElement"):
+        """nu(x) = (vp(N(num)) - degree * vp(den)) / degree, from the
+        closed-form integer norm N of x's numerator vector, kept on x."""
         if x._val is None:
             if not any(x.num):
                 x._val = INFINITY
             else:
-                norm, _ = self._tower_norm(x.num, False)
-                x._val = self._val_of_norm(norm, x.den)
+                x._val = self._val_of_norm(self._norm(x.num), x.den)
         return x._val
 
     # -- residue representatives and uniformizer -------------------------------
@@ -742,13 +781,14 @@ class FieldElement:
         raise TypeError(f"cannot combine a field element with {other!r}")
 
     def inv(self) -> "FieldElement":
-        """x^-1 = sigma(x) * (x sigma(x))^-1 down the tower: with X the
-        integer vector of x, X * Y = N for the integer norm N, so
-        x^-1 = den * Y / N.  The valuation comes free from N."""
+        """x^-1 = den * Y / N, for X the integer vector of x and (N, Y) its
+        closed-form integer norm and adjugate, X * Y = N: Y is the product
+        of the conjugates down the tower.  The valuation comes free from
+        N."""
         if not any(self.num):
             raise DivisionByZero
         f = self.field
-        norm, y = f._tower_norm(self.num, True)
+        norm, y = f._norm_adjugate(self.num)
         if self._val is None:
             self._val = f._val_of_norm(norm, self.den)
         den = self.den

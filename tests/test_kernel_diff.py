@@ -10,9 +10,13 @@ coordinate, so the common denominator is a true lcm.
 
 The integer product itself is checked against the monomial-table loop,
 which `LocalField._mul` ran at every length before the lengths 1, 2 and 4
-were written out, on every prefix length of every field.
+were written out, on every prefix length of every field.  The integer norm
+and adjugate, written out over the tower for every model degree, are
+checked against the loop down the tower that took them before, on every
+field; the degree bound they rest on is checked too.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd, prod
 
@@ -20,8 +24,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_kernel as oracle
-from bttwist.errors import NotInField
-from bttwist.padic import FieldElement, _element_sqrt, make_field
+from bttwist.errors import (InternalInvariant, NotInField, NotSquareFree,
+                            SplitPrime)
+from bttwist.padic import (FieldElement, _element_sqrt, _norm_kernels,
+                           make_field)
 
 FIELDS = [(2, ()), (2, (-3,)), (2, (-3, 2)), (2, (-1, -3, 2)),
           (3, ()), (3, (2,)), (3, (-1, 3)), (5, (2, 5))]
@@ -64,6 +70,27 @@ def table_mul(sqrt_args, a, b):
     return tuple(out)
 
 
+def tower_norm(sqrt_args, num):
+    """(N, y): the integer norm N of the integer vector num, taken down the
+    tower by monomial-table products (at each stage x * sigma(x), sigma
+    flipping the top generator, lies in the half-degree subfield), and the
+    integer vector y with num * y = N, assembled back up the tower from the
+    conjugates."""
+    n, x, conjugates = len(num), tuple(num), []
+    while n > 1:
+        h = n >> 1
+        sx = x[:h] + tuple([-c for c in x[h:]])
+        product = table_mul(sqrt_args, x, sx)
+        if any(product[h:]):
+            raise InternalInvariant("tower norm left the subfield")
+        conjugates.append(sx)
+        x, n = product[:h], h
+    y = (1,)
+    for sx in reversed(conjugates):
+        y = table_mul(sqrt_args, sx, y + (0,) * (len(sx) - len(y)))
+    return x[0], y
+
+
 PREFIXES = [(p, args, 1 << j) for p, args in FIELDS
             for j in range(len(args) + 1)]
 integers = st.one_of(st.just(0), st.just(0), st.integers(-9, 9),
@@ -82,6 +109,47 @@ def test_mul_agrees_with_the_table(p, args, n, data):
     got = f._mul(a, b)
     assert type(got) is tuple
     assert got == table_mul(args, a, b)
+
+
+@pytest.mark.parametrize("p,args", FIELDS, ids=[
+    f"{p}:{','.join(map(str, a))}" for p, a in FIELDS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_norm_and_adjugate_agree_with_the_tower(p, args, data):
+    f = make_field(p, args)
+    x = data.draw(st.lists(integers, min_size=f.degree,
+                           max_size=f.degree).map(tuple))
+    norm, adjugate = tower_norm(args, x)
+    assert f._norm(x) == norm
+    got = f._norm_adjugate(x)
+    assert type(got[1]) is tuple and got == (norm, adjugate)
+    assert f._mul(x, got[1]) == (norm,) + (0,) * (f.degree - 1)
+
+
+# Q_p has 8 square classes at p = 2 and 4 at odd p: no model with one
+# prime above p has a fourth generator at 2 or a third at odd p
+GENERATOR_GRIDS = [(2, (-1, -3, 2, 5, 3, -2), 4), (3, (-1, 3, 2, -3), 3),
+                   (5, (2, 5, 3, 10), 3)]
+
+
+@pytest.mark.parametrize("p,grid,k", GENERATOR_GRIDS,
+                         ids=[f"{p}-k{k}" for p, _, k in GENERATOR_GRIDS])
+def test_no_model_has_more_generators_than_the_closed_forms(p, grid, k):
+    for args in itertools.permutations(grid, k):
+        with pytest.raises((SplitPrime, NotSquareFree)):
+            make_field(p, args)
+    built = []
+    for args in itertools.combinations(grid, k - 1):
+        try:
+            built.append(make_field(p, args))
+        except (SplitPrime, NotSquareFree):
+            pass
+    assert built and all(f.degree == 1 << (k - 1) for f in built)
+
+
+def test_the_norm_builder_refuses_a_fourth_generator():
+    with pytest.raises(InternalInvariant):
+        _norm_kernels((-1, -3, 2, 5), None)
 
 
 def same(x, y):

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from bttwist import padic
 from bttwist.twisted import SubfieldLattice
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -97,10 +98,16 @@ def test_table1_layers(monkeypatch, capsys):
     assert _run(monkeypatch, "table1_layers", "--runs", "1") == 0
     layers = json.loads(capsys.readouterr().out)["layers"]
     assert set(layers) == {"closed_form", "flood_fill", "make_context",
-                           "table1"}
+                           "norms", "table1"}
     # every ramified pair table1 asks is trivial on Gal(L/E): 65 distance
     # tests, which take no field product, and no lattice inverse
     assert layers["closed_form"]["calls_per_table1"] == 65
     assert layers["closed_form"]["products_per_table1"] == 0
     assert layers["table1"]["products_per_table1"] == 694
+    # a warm table1 takes 368 integer norms: 317 over L itself, 51 over
+    # its quartic subfields
+    assert layers["norms"]["calls_by_degree"] == {"d4": 51, "d8": 317}
+    assert layers["norms"]["calls_per_table1"] == 368
     assert SubfieldLattice.__dict__["distance"] is before  # restored
+    assert not any(f._norm.__name__ == "wrapper"
+                   for f in padic._FIELD_CACHE.values())
