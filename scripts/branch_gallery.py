@@ -37,7 +37,7 @@ def main():
 
     for name, (field, mats, center, radius) in jobs.items():
         win = Window(center, radius)
-        dot = emit_dot(win.vertices, Oracle(mats), title=name)
+        dot = emit_dot(win, Oracle(mats), title=name)
         path = os.path.join(outdir, f"{name}.dot")
         with open(path, "w") as fh:
             fh.write(dot)

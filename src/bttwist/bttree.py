@@ -13,7 +13,7 @@ import os
 from fractions import Fraction
 
 from .errors import DivisionByZero, InternalInvariant, WindowTooLarge
-from .padic import FieldElement, LocalField, Subfield, val_min
+from .padic import FieldElement, LocalField, val_min
 
 
 DEFAULT_VERTEX_CAP = 10 ** 6
@@ -118,33 +118,24 @@ class Vertex:
 
 def _reduce_center(a: FieldElement, n_end: int) -> FieldElement:
     """Canonical representative of a modulo pi^n_end * O: its digits."""
-    f = a.field
-    rest = digit_rest(a, Fraction(n_end, f.e), f.e, f.residue_reps[1:],
-                      f.pi_pow)
-    if rest is None:
-        # valuations lie in (1/e)Z, and a complete set of residue
-        # representatives has every digit
-        raise InternalInvariant(
-            f"no residue digit for {a!r} below level {n_end}/{f.e} in {f}")
-    return a - rest
+    return a - digit_rest(a, Fraction(n_end, a.field.e))
 
 
-def digit_rest(res: FieldElement, stop, e: int, reps, pi_pow):
+def digit_rest(res: FieldElement, stop):
     """What is left of res once its greedy pi-adic digits below valuation
     `stop` are taken off (J.-P. Serre, Local Fields, ch. II §4).
 
     While nu(res) < stop, the leading term c * pi^n of res is subtracted:
-    n = nu(res) * e, pi_pow(n) has valuation n / e, and the digit c is the
-    first of `reps` (nonzero residue representatives) with
-    nu(res - c pi^n) > nu(res).  Zero digits are skipped, not tried.  None
-    when a leading term has no digit: nu(res) is off (1/e)Z, or no
-    representative matches."""
+    n = nu(res) * e, and the digit c is the first nonzero residue
+    representative of res's field with nu(res - c pi^n) > nu(res).  Zero
+    digits are skipped, not tried.  Valuations lie in (1/e)Z and a complete
+    set of representatives has every digit, so a leading term with no digit
+    raises InternalInvariant."""
+    f = res.field
+    e, reps = f.e, f.residue_reps[1:]
     v = res.valuation()
     while v < stop:
-        n, rem = divmod(v.numerator * e, v.denominator)
-        if rem:
-            return None
-        t = pi_pow(n)
+        t = f.pi_pow(v.numerator * e // v.denominator)
         for c in reps:
             cand = res - c * t
             w = cand.valuation()
@@ -152,7 +143,8 @@ def digit_rest(res: FieldElement, stop, e: int, reps, pi_pow):
                 res, v = cand, w
                 break
         else:
-            return None
+            raise InternalInvariant(
+                f"no residue digit for {res!r} at valuation {v} in {f}")
     return res
 
 
@@ -483,59 +475,26 @@ def tubular(S: ConvexSubtree, w) -> ConvexSubtree:
 
 
 # ---------------------------------------------------------------------------
-# subfield vertices (untwisted)
-
-
-def approximates_from(a: FieldElement, sub: Subfield, target) -> bool:
-    """Is there lambda in the subfield with nu(a - lambda) >= target?
-
-    The digit expansion of a over the subfield's residue representatives
-    and powers of its uniformizer, embedded; exact (the greedy digit is
-    unique when it exists).
-    """
-    E = sub.field
-    reps = [sub.embed(r) for r in E.residue_reps[1:]]
-    return digit_rest(a, target, E.e, reps,
-                      lambda n: sub.embed(E.pi_pow(n))) is not None
-
-
-def e_vertex_test_untwisted(v: Vertex, sub: Subfield) -> bool:
-    """Is the ball a vertex of the subfield's tree inside the ambient tree?
-
-    True iff the level is in the subfield's value group and the ball meets
-    the subfield.
-    """
-    lvl_scaled = v.level * sub.field.e
-    if lvl_scaled.denominator != 1:
-        return False
-    return approximates_from(v.center, sub, v.level)
-
-
-# ---------------------------------------------------------------------------
 # DOT output
 
 
-def emit_dot(vertices, highlight: ConvexSubtree = None, title="bttree") -> str:
-    """Deterministic DOT graph of a set of lattice vertices (levels in
-    (1/e)Z, as in a window) with tree edges and optional highlighted
+def emit_dot(window: Window, highlight: ConvexSubtree = None,
+             title="bttree") -> str:
+    """Deterministic DOT graph of a window: its vertices numbered in the
+    order of their ids, its tree edges, and optional highlighted
     membership."""
-    labeled = []
-    for v in vertices:
-        lvl, ck = v.key()
-        labeled.append(((lvl, ck), v))
-    labeled.sort(key=lambda x: (x[0][0], x[0][1]))
+    verts = window.vertices
+    keys = [v.key() for v in verts]
+    order = sorted(range(len(verts)), key=keys.__getitem__)
+    number = {k: i for i, k in enumerate(order)}
     lines = [f'graph "{title}" {{', "  node [shape=circle];"]
-    at = {}  # key -> the indices of every vertex carrying it
-    for i, ((lvl, ck), v) in enumerate(labeled):
-        at.setdefault((lvl, ck), []).append(i)
-        label = f"B({ck}, {lvl})"
+    for i, k in enumerate(order):
+        lvl, ck = keys[k]
         style = ""
-        if highlight is not None and highlight.contains(v):
+        if highlight is not None and highlight.contains(verts[k]):
             style = ', style=filled, fillcolor="lightblue"'
-        lines.append(f'  v{i} [label="{label}"{style}];')
-    for i, (_, v) in enumerate(labeled):
-        later = sorted(j for n in neighbors(v) for j in at.get(n.key(), ())
-                       if j > i)
-        lines.extend(f"  v{i} -- v{j};" for j in later)
+        lines.append(f'  v{i} [label="B({ck}, {lvl})"{style}];')
+    edges = sorted(sorted((number[a], number[b])) for a, b in window.edges)
+    lines.extend(f"  v{i} -- v{j};" for i, j in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

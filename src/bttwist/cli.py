@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -103,7 +104,7 @@ def cmd_branch(args) -> int:
                 return branch_member(q, v)
 
         with open(args.dot, "w") as fh:
-            fh.write(emit_dot(win.vertices, _Highlight(), title="branch"))
+            fh.write(emit_dot(win, _Highlight(), title="branch"))
     return 0
 
 
@@ -229,10 +230,18 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
     except BttwistError as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (`bttwist table1 | head -c 1`): the rest
+        # of the output goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -272,7 +272,11 @@ class VertexOrder:
     most once however many subfields it is asked about: which Galois
     elements fix the vertex under the twisted action, the inverse of its
     order lattice in quaternion coordinates, and its answer for each
-    subfield it was asked about, keyed by the subfield's span."""
+    subfield it was asked about, keyed by the subfield's span.
+
+    Under the trivial cocycle it is the one test for the standard E-tree
+    of a subfield.  `triv` is read only by `lattice_inverse`, which only
+    twisted pairs reach, so a trivial cocycle may pass None."""
 
     def __init__(self, tree: TwistedTree, triv, v: Vertex):
         self.tree = tree

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from .errors import ExistenceFails
 from .padic import INFINITY, make_field, squarefree_part
-from .bttree import (Vertex, Window, distance, e_vertex_test_untwisted,
-                     tubular)
+from .bttree import Vertex, Window, distance, tubular
 from .branch import (branch_member, branch_with_extension, lift_vertex,
                      sample_integral_matrix, unit_fixed_points)
 from . import enumerate as counting
@@ -257,16 +256,12 @@ def check_twisted_laws(fast: bool = False, seed: int = 77) -> tuple:
         wL = Window(Vertex(L.zero, Fraction(0)), 2)
         invL = ttree.invariant_vertices([0, 1], wL)
         subK = L.find_subfield(())
-        kverts = [v for v in wL if e_vertex_test_untwisted(v, subK)]
+        kverts = [v for v in wL
+                  if VertexOrder(ttree, None, v).in_subtree(subK)]
 
         def d_to_K(v):
-            best = None
-            for a in kverts:
-                for b in kverts:
-                    d = (distance(v, a) + distance(v, b) - distance(a, b)) / 2
-                    if best is None or d < best:
-                        best = d
-            return best
+            return min((distance(v, a) + distance(v, b) - distance(a, b)) / 2
+                       for a in kverts for b in kverts)
 
         hair = max(d_to_K(v) for v in invL)
         q2 = make_field(2, ())

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from bttwist.bttree import BoundaryPoint, Horoball, MoebiusMap, Vertex, distance
+from bttwist.twisted import TwistedTree, VertexOrder, trivial_cocycle
 from convex_oracle import BoundaryEnd, VertexEnd, ball, line, tube
 
 
@@ -15,6 +16,14 @@ def same_type(v: Vertex, w: Vertex) -> bool:
     base step.  Unit-determinant Moebius maps preserve the type."""
     d = distance(v, w) * v.field.e
     return d.denominator == 1 and int(d) % 2 == 0
+
+
+def in_standard_subtree(v: Vertex, sub) -> bool:
+    """The untwisted subfield test: `VertexOrder` under the trivial
+    cocycle, which reads no trivialization."""
+    L = sub.parent
+    return VertexOrder(TwistedTree(L, trivial_cocycle(L)), None,
+                       v).in_subtree(sub)
 
 
 def lattice_of_vertex(v: Vertex):

@@ -6,13 +6,13 @@ import pytest
 from bttwist.errors import InternalInvariant, WindowTooLarge
 from bttwist.padic import make_field
 from bttwist.bttree import (BoundaryPoint, MoebiusMap, Vertex, Window,
-                            distance, e_vertex_test_untwisted, emit_dot,
-                            neighbors, tubular)
+                            distance, emit_dot, neighbors, tubular)
 from convex_oracle import Meet, NoPeak, ball, intersect, line, peak
 import vertex_oracle
 
-from helpers import contains_set, lattice_of_vertex, path_vertices, \
-    rand_convex, rand_moebius, rand_vertex, same_type, standard_horoball
+from helpers import contains_set, in_standard_subtree, lattice_of_vertex, \
+    path_vertices, rand_convex, rand_moebius, rand_vertex, same_type, \
+    standard_horoball
 
 Q2 = make_field(2, ())
 OMEGA = make_field(2, (-1, -3, 2))
@@ -383,12 +383,12 @@ class TestSubfieldVertices:
         f = make_field(2, (-1,))
         sub = f.find_subfield(())
         for n in (0, 1, 2, -3):
-            assert e_vertex_test_untwisted(B(f, n, 1), sub)
+            assert in_standard_subtree(B(f, n, 1), sub)
 
     def test_half_levels_fail(self):
         f = make_field(2, (-1,))
         sub = f.find_subfield(())
-        assert not e_vertex_test_untwisted(B(f, 0, Fraction(1, 2)), sub)
+        assert not in_standard_subtree(B(f, 0, Fraction(1, 2)), sub)
 
     def test_ghost_threshold_over_ramified_subfield(self):
         # balls around sqrt(-3) meet Q_2(sqrt 2) down to the defect bound:
@@ -399,26 +399,26 @@ class TestSubfieldVertices:
         base = sub.field
         assert base.quadratic_defect(base.from_rational(-3)) == 2
         root = f.sqrt_of(-3)
-        assert e_vertex_test_untwisted(Vertex(root, Fraction(1, 2)), sub)
-        assert e_vertex_test_untwisted(Vertex(root, Fraction(1)), sub)
-        assert not e_vertex_test_untwisted(Vertex(root, Fraction(3, 2)), sub)
-        assert not e_vertex_test_untwisted(Vertex(root, Fraction(2)), sub)
+        assert in_standard_subtree(Vertex(root, Fraction(1, 2)), sub)
+        assert in_standard_subtree(Vertex(root, Fraction(1)), sub)
+        assert not in_standard_subtree(Vertex(root, Fraction(3, 2)), sub)
+        assert not in_standard_subtree(Vertex(root, Fraction(2)), sub)
 
     def test_ghost_threshold_matches_defect(self):
         # B(sqrt(alpha), r) is a base vertex iff r <= defect(alpha)/2
         f = make_field(2, (-3,))
         sub = f.find_subfield(())
         root = f.sqrt_gen(0)
-        assert e_vertex_test_untwisted(Vertex(root, Fraction(1)), sub)
-        assert not e_vertex_test_untwisted(Vertex(root, Fraction(2)), sub)
+        assert in_standard_subtree(Vertex(root, Fraction(1)), sub)
+        assert not in_standard_subtree(Vertex(root, Fraction(2)), sub)
 
 
 class TestDot:
     def test_deterministic_and_wellformed(self):
         win = Window(B(Q2, 0, 0), 2)
         S = standard_horoball(Q2, 0)
-        out1 = emit_dot(win.vertices, S)
-        out2 = emit_dot(list(win.vertices), S)
+        out1 = emit_dot(win, S)
+        out2 = emit_dot(Window(B(Q2, 0, 0), 2), S)
         assert out1 == out2
         assert out1.count("{") == out1.count("}") == 1
         ids = [ln.split()[0] for ln in out1.splitlines()
@@ -428,8 +428,8 @@ class TestDot:
 
     @pytest.mark.parametrize("args", [(), (-3,)])
     def test_edges_match_pairwise_scan(self, args):
-        # emit_dot finds edges through neighbors(); the O(n^2) distance scan
-        # it replaced is kept here as the reference
+        # emit_dot numbers the window's own edges; the O(n^2) distance scan
+        # is kept here as the reference
         fld = make_field(2, args)
         win = Window(Vertex(fld.zero, Fraction(0)), 2)
         verts = sorted(win.vertices, key=lambda v: v.key())
@@ -437,7 +437,7 @@ class TestDot:
         edges = [f"  v{i} -- v{j};" for i in range(len(verts))
                  for j in range(i + 1, len(verts))
                  if distance(verts[i], verts[j]) == step]
-        out = emit_dot(win.vertices, standard_horoball(fld, 0))
+        out = emit_dot(win, standard_horoball(fld, 0))
         got = [ln for ln in out.splitlines() if " -- " in ln]
         assert got == edges and len(edges) == len(win) - 1
         assert out.endswith("\n".join(edges) + "\n}\n")

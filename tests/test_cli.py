@@ -62,11 +62,34 @@ def test_branch_command_with_dot(tmp_path):
         "branch", "--field", "2:", "--matrix", "0,1;0,0",
         "--radius", "2", "--dot", str(dot_file)).stdout)
     assert out["shape"].startswith("Horoball")
-    text = dot_file.read_text()
-    assert text.count("{") == text.count("}") == 1
-    node_ids = [ln.split()[0] for ln in text.splitlines()
-                if "[label" in ln]
-    assert len(node_ids) == len(set(node_ids))
+    assert dot_file.read_text() == BRANCH_DOT
+
+
+# the --dot file above, byte for byte: nodes in id order, then the edges
+BRANCH_DOT = """\
+graph "branch" {
+  node [shape=circle];
+  v0 [label="B(0, -2)", style=filled, fillcolor="lightblue"];
+  v1 [label="B(0, -1)", style=filled, fillcolor="lightblue"];
+  v2 [label="B(0, 0)", style=filled, fillcolor="lightblue"];
+  v3 [label="B(1/2, 0)", style=filled, fillcolor="lightblue"];
+  v4 [label="B(0, 1)"];
+  v5 [label="B(1, 1)"];
+  v6 [label="B(0, 2)"];
+  v7 [label="B(1, 2)"];
+  v8 [label="B(2, 2)"];
+  v9 [label="B(3, 2)"];
+  v0 -- v1;
+  v1 -- v2;
+  v1 -- v3;
+  v2 -- v4;
+  v2 -- v5;
+  v4 -- v6;
+  v4 -- v8;
+  v5 -- v7;
+  v5 -- v9;
+}
+"""
 
 
 def test_branch_needs_extension_exit_code():
@@ -97,6 +120,31 @@ def test_byte_identical_reruns():
     c = run_cli("field", "-p", "2", "--sqrts", "-1,2").stdout
     d = run_cli("field", "-p", "2", "--sqrts", "-1,2").stdout
     assert c == d
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("args", [
+    ("table1",), ("global", "-N", "3"),
+    ("count-local", "--group", "q8", "--field", "2:-1"),
+], ids=["table1", "global", "count-local"])
+def test_closed_stdout_exits_one_without_a_traceback(args, buffered):
+    # the reading end of the pipe is closed before the command starts, as
+    # when `head -c 1` has already exited; buffered, the write fails at the
+    # flush, unbuffered inside print
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bttwist.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Broken pipe" not in proc.stderr
 
 
 def test_usage_errors_exit_two():

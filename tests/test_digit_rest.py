@@ -1,12 +1,17 @@
-"""`bttree.digit_rest` against the two digit loops it replaced.
+"""The digit expansion and the distance to a subfield, against the digit
+loops kept in `vertex_oracle`.
 
-`Vertex.key`, `approximates_from` and the residue generator of the general
-subfield lattice (`subfield_test_oracle.GeneralSubfieldLattice`, the
-f(L/E) = 2 basis that `SubfieldLattice` no longer builds) are compared with the loops kept in `vertex_oracle` on seeded elements of
-fields of degree 1, 2, 4 and 8 at p = 2 and of degree 1, 2 and 4 at p = 3
-and 5 (a multiquadratic field with one prime above an odd p has degree at
-most 4).  The centers include zero, centers already reduced, midpoints,
-negative valuations and valuations off a subfield's value group.
+`Vertex.key` (through `bttree.digit_rest`) is compared with the loop
+`digit_rest` replaced; `SubfieldLattice.distance`, the program's closed
+form for how near an element comes to a subfield, with the digit walk
+over the subfield's embedded digits; and the residue generator of the
+general subfield lattice (`subfield_test_oracle.GeneralSubfieldLattice`,
+the f(L/E) = 2 basis that `SubfieldLattice` no longer builds) with the
+oracle's search.  The elements are seeded, in fields of degree 1, 2, 4
+and 8 at p = 2 and of degree 1, 2 and 4 at p = 3 and 5 (a multiquadratic
+field with one prime above an odd p has degree at most 4).  The centers
+include zero, centers already reduced, midpoints, negative valuations and
+valuations off a subfield's value group.
 """
 
 import random
@@ -14,10 +19,11 @@ from fractions import Fraction
 
 import pytest
 
-from bttwist.bttree import Vertex, approximates_from, digit_rest
+from bttwist.bttree import Vertex, digit_rest
 from bttwist.errors import InternalInvariant
 from bttwist.padic import INFINITY, make_field
-from bttwist.twisted import SubfieldLattice
+from bttwist.twisted import SubfieldLattice, sublattice_machinery
+from helpers import in_standard_subtree
 from subfield_test_oracle import GeneralSubfieldLattice
 
 import vertex_oracle as old
@@ -83,7 +89,14 @@ def subfield_cases():
 
 @pytest.mark.parametrize("sub", subfield_cases())
 def test_approximates_from_matches_the_old_walk(sub):
+    """Does a center come within pi^target of E?  The program answers in
+    two ways, both checked against the oracle's digit walk over E:
+    `SubfieldLattice.distance`, dist(a, E) >= target, at every target for
+    each E with f(L/E) = 1 (the pairs it serves, E = L included); and the
+    standard E-tree through `VertexOrder`, B(a, r) in T_E, at each target
+    r in E's value group for every E."""
     L, E = sub.parent, sub.field
+    lattice = sublattice_machinery(sub) if E.f == L.f else None
     rng = random.Random(L.p * 100 + L.degree * 10 + E.degree)
     answers = set()
     elems = centers(L, rng, 30)
@@ -92,45 +105,57 @@ def test_approximates_from_matches_the_old_walk(sub):
     elems += [sub.embed(x) + y for x, y in
               zip(centers(E, rng, 8), centers(L, rng, 8))]
     for a in elems:
+        dist = lattice.distance(a) if lattice else None
         for target in levels(L, rng, 3) + [Fraction(1, L.e), 7]:
-            got = approximates_from(a, sub, target)
-            assert got == old.approximates_from(a, sub, target)
-            answers.add(got)
-    assert answers == {True, False}
+            want = old.approximates_from(a, sub, target)
+            if lattice:
+                assert (dist >= target) == want, (a, target)
+            if (target * E.e).denominator == 1:
+                assert in_standard_subtree(Vertex(a, target), sub) == want
+            answers.add(want)
+    assert answers == ({True} if E is L else {True, False})
 
 
 def test_both_ways_to_miss_a_digit():
+    # each miss of the digit walk is a vertex outside the standard E-tree
     L = make_field(2, (-3, 2))  # e = f = 2
     by_args = {s.field.sqrt_args: s for s in L.subfields()}
     base, unram, ram = by_args[()], by_args[(-3,)], by_args[(2,)]
     # nu = 1/2 is off the value group of Q_2(sqrt -3) and of Q_2
     for sub in (base, unram):
         assert old.approximates_from(L.uniformizer, sub, 1) is False
-        assert approximates_from(L.uniformizer, sub, 1) is False
+        assert not in_standard_subtree(Vertex(L.uniformizer, 1), sub)
     # a unit whose residue lies outside F_2 has no digit over Q_2(sqrt 2)
     r = old.residue_generator(ram)
     assert old.approximates_from(r, ram, Fraction(1, 2)) is False
-    assert approximates_from(r, ram, Fraction(1, 2)) is False
-    assert approximates_from(r, unram, 5) is True
+    assert not in_standard_subtree(Vertex(r, Fraction(1, 2)), ram)
+    assert old.approximates_from(r, unram, 5) is True
+    assert in_standard_subtree(Vertex(r, 5), unram)
 
 
-def test_zero_digits_are_skipped():
+def test_zero_digits_are_skipped(monkeypatch):
     # 1 + 2^5 over Q_2 has two nonzero digits: two powers of pi, not six
     f = make_field(2, ())
-    asked = []
-
-    def pi_pow(n):
-        asked.append(n)
-        return f.pi_pow(n)
-
     a = f.from_rational(1 + 2 ** 5)
-    rest = digit_rest(a, 9, f.e, f.residue_reps[1:], pi_pow)
-    assert rest.is_zero() and asked == [0, 5]
-    assert digit_rest(a, 3, f.e, f.residue_reps[1:], f.pi_pow) == \
-        f.from_rational(2 ** 5)
-    # a leading term off (1/e)Z has no digit
-    L = make_field(2, (-1,))
-    assert digit_rest(L.uniformizer, 1, 1, f.residue_reps[1:], None) is None
+    assert digit_rest(a, 3) == f.from_rational(2 ** 5)
+    f.pi_pow(5)  # cached, so that pi_pow does not recurse while counted
+    asked, pi_pow = [], f.pi_pow
+
+    def counted(n):
+        asked.append(n)
+        return pi_pow(n)
+
+    monkeypatch.setattr(f, "pi_pow", counted)
+    assert digit_rest(a, 9).is_zero() and asked == [0, 5]
+
+
+def test_a_missing_digit_raises(monkeypatch):
+    # with the representative of 2 mod 3 taken away, 2 has no digit
+    f = make_field(3, ())
+    monkeypatch.setattr(f, "_residue_reps", f.residue_reps[:2])
+    with pytest.raises(InternalInvariant):
+        digit_rest(f.from_rational(2), 1)
+    assert digit_rest(f.from_rational(4), 1) == f.from_rational(3)
 
 
 def test_residue_generator_matches_the_old_search():

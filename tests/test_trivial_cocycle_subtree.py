@@ -8,9 +8,9 @@ where it ran the pivot kernel before.  The kernel stays in the program for
 the twisted pairs and is the oracle here: on every such (member, E) pair of
 `table1`, of the golden `count-local` contexts and of a fixed slice of
 `scripts/ambient_sweep.py` at p <= 7, the closed form, the kernel's volume
-test, a fresh `VertexOrder.in_subtree` and the digit test
-`e_vertex_test_untwisted` must give one answer, and both answers must
-occur.
+test, a fresh `VertexOrder.in_subtree` and the digit oracle
+`vertex_oracle.e_vertex` (r in (1/e_E)Z and a digit walk over E from a to
+level r) must give one answer, and both answers must occur.
 
 The same predicate guards the shortcut "a level off E's value group is
 outside", which holds only for those pairs.  Unguarded, it rejected every
@@ -25,10 +25,10 @@ from pathlib import Path
 import pytest
 
 from bttwist import enumerate as counting
-from bttwist.bttree import e_vertex_test_untwisted
 from bttwist.linalg import pivot_valuation_sum
 from bttwist.twisted import VertexOrder, sublattice_machinery
 from test_branch_walk_diff import CASES  # the golden count-local cases
+from vertex_oracle import e_vertex
 
 _SPEC = importlib.util.spec_from_file_location(
     "ambient_sweep",
@@ -52,7 +52,7 @@ def closed_form_pairs(ctx) -> list:
 
 def answers(ctx, order, sub) -> tuple:
     """The closed form, the kernel's volume test, the program's answer on a
-    fresh order and the digit test."""
+    fresh order and the digit oracle."""
     E, v = sub.field, order.v
     lattice = sublattice_machinery(sub)
     closed = ((v.level * E.e).denominator == 1
@@ -60,7 +60,7 @@ def answers(ctx, order, sub) -> tuple:
     total = pivot_valuation_sum(E, *lattice.functionals(order.lattice_inverse))
     kernel = total is not None and total == E.degree * ctx.triv.basis_valuation
     fresh = VertexOrder(ctx.tree, ctx.triv, v).in_subtree(sub)
-    return closed, kernel, fresh, e_vertex_test_untwisted(v, sub)
+    return closed, kernel, fresh, e_vertex(v, sub)
 
 
 def sweep_slice() -> list:

@@ -9,13 +9,13 @@ from bttwist import enumerate as counting
 from bttwist import twisted
 from bttwist.padic import LocalField, make_field, parity
 from bttwist.bttree import (BoundaryPoint, MoebiusMap, Vertex, Window,
-                            distance, e_vertex_test_untwisted, neighbors)
+                            distance, neighbors)
 from bttwist.quatalg import (find_trivialization,
                              maxorder_generators, q8_trivialization,
                              standard_groups)
-from bttwist.twisted import (Cocycle, TwistedTree, order_lattice_of_vertex,
-                             subfield_vertex_test, sublattice_machinery,
-                             trivial_cocycle)
+from bttwist.twisted import (Cocycle, TwistedTree, VertexOrder,
+                             order_lattice_of_vertex, subfield_vertex_test,
+                             sublattice_machinery, trivial_cocycle)
 
 from cocycle_oracle import first_violation
 from helpers import rand_vertex
@@ -175,7 +175,8 @@ class TestInvariantSubtrees:
         win = Window(Vertex(L.zero, Fraction(0)), 2)
         inv = tree.invariant_vertices([0, 1], win)
         sub = L.find_subfield(())
-        kverts = [v for v in win if e_vertex_test_untwisted(v, sub)]
+        kverts = [v for v in win
+                  if VertexOrder(tree, None, v).in_subtree(sub)]
 
         def dist_to_base_tree(v):
             return min((distance(v, a) + distance(v, b) - distance(a, b)) / 2
@@ -307,7 +308,8 @@ class TestSubfieldVertexTest:
 
     def test_trivial_cocycle_agrees_with_untwisted_test(self):
         # tame case with a base-rational trivialization of a split algebra:
-        # the twisted machinery reduces to the plain subfield test
+        # the twisted machinery reduces to the plain subfield test: the
+        # same answer with no trivialization at all, and the digit oracle's
         from bttwist.quatalg import QuaternionAlgebra
         L = make_field(2, (-3,))
         split_alg = QuaternionAlgebra(Fraction(1), Fraction(1))
@@ -318,7 +320,8 @@ class TestSubfieldVertexTest:
         win = Window(Vertex(L.zero, Fraction(0)), 2)
         for v in win:
             assert subfield_vertex_test(tree, triv, v, sub) == \
-                e_vertex_test_untwisted(v, sub)
+                VertexOrder(tree, None, v).in_subtree(sub) == \
+                vertex_oracle.e_vertex(v, sub)
 
     def test_wild_invariants_strictly_exceed_subfield_vertices(self):
         from bttwist.quatalg import QuaternionAlgebra
@@ -331,7 +334,7 @@ class TestSubfieldVertexTest:
         win = Window(Vertex(L.zero, Fraction(0)), 2)
         inv = tree.invariant_vertices([0, 1], win)
         passing = [v for v in win if subfield_vertex_test(tree, triv, v, sub)]
-        untwisted = [v for v in win if e_vertex_test_untwisted(v, sub)]
+        untwisted = [v for v in win if vertex_oracle.e_vertex(v, sub)]
         assert [v.key() for v in passing] == [v.key() for v in untwisted]
         assert len(inv) > len(passing)
 

@@ -9,12 +9,17 @@ computed once: it applies every group element afresh for every test.
 vertex was reached from was skipped by position: it skips the neighbour
 equal to it, by `Vertex.__eq__`.
 
-`reduce_center` and `approximates_from` are the two digit loops that
-`bttree.digit_rest` replaced: the first tries every residue representative
-at every digit, zero digits included; the second walks the subfield's
-digits one level at a time.  `residue_generator` is the unit that
-`SubfieldLattice` took for f(L/E) = 2: the first residue representative of
-L that `approximates_from` finds outside E.
+`reduce_center` is the digit loop that `bttree.digit_rest` replaced: it
+tries every residue representative at every digit, zero digits included.
+
+`approximates_from` walks a subfield's embedded digits one level at a
+time, and `e_vertex` builds the untwisted subfield test on it: B(a, r) is
+a vertex of the standard E-tree when r is in (1/e_E)Z and a lies within
+pi^r of E.  The program decides that tree through `VertexOrder` under the
+trivial cocycle (the distance test and the two descents); this digit walk
+is its oracle.  `residue_generator` is the unit that `SubfieldLattice`
+took for f(L/E) = 2: the first residue representative of L that
+`approximates_from` finds outside E.
 """
 
 from fractions import Fraction
@@ -145,6 +150,13 @@ def approximates_from(a: FieldElement, sub: Subfield, target) -> bool:
         j = max(j, int((res.valuation() * eE) // 1)) if res.valuation() is not INFINITY else j + 1
     rv = res.valuation()
     return rv is INFINITY or rv >= Fraction(target)
+
+
+def e_vertex(v: Vertex, sub: Subfield) -> bool:
+    """Is v a vertex of the subfield's standard tree inside the ambient
+    tree?  Its level is in E's value group and its ball meets E."""
+    return ((v.level * sub.field.e).denominator == 1
+            and approximates_from(v.center, sub, v.level))
 
 
 def residue_generator(sub):
